@@ -1,4 +1,4 @@
-"""Ablations of NDPage's design choices (DESIGN.md ablation list).
+"""Ablations of NDPage's design choices.
 
 Decomposes the two mechanisms (Section V-A bypass, Section V-B
 flattening) and the PWC choice (Section V-C), and checks NDPage under

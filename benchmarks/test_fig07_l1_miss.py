@@ -46,7 +46,8 @@ def test_fig07_l1_miss_breakdown(benchmark, emit):
     assert means[2] > means[1]
     # Pollution: the direction never inverts, and metadata fills
     # demonstrably evict live data lines (the rate gap is smaller than
-    # the paper's 1.37x — see EXPERIMENTS.md).
+    # the paper's 1.37x: the synthetic streams have less data-side
+    # cache affinity than the real applications).
     assert means[1] >= means[0] - 0.01
     assert all(r.pollution_evictions > 0 for r in table.values())
     # PTEs are a large share of all memory accesses.

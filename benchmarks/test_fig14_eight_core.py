@@ -1,8 +1,8 @@
 """Fig. 14: speedup over Radix in 8-core NDP execution.
 
 Paper: NDPage +40.7% over Radix, +30.5% over ECH; Huge Page drops to
-90.1% of Radix (a regression).  Measured deviation recorded in
-EXPERIMENTS.md: our Huge Page stays slightly above Radix at 8 cores
+90.1% of Radix (a regression).  Measured deviation: our Huge Page
+stays slightly above Radix at 8 cores
 because in-ROI THP management costs are amortized into the warmup
 phase; the widening NDPage-over-ECH gap — the figure's main message —
 reproduces.

@@ -2,8 +2,9 @@
 
 A functional + timing simulator reproducing *NDPage: Efficient Address
 Translation for Near-Data Processing Architectures via Tailored Page
-Table* (DATE 2025).  See DESIGN.md for the system inventory and
-EXPERIMENTS.md for paper-vs-measured results.
+Table* (DATE 2025).  README.md covers the command line and the sweep
+API; ``benchmarks/`` reproduces each paper figure against the paper's
+numbers.
 
 Quickstart::
 
@@ -24,7 +25,6 @@ from repro.core import (
 )
 from repro.sim import (
     RunResult,
-    SweepRunner,
     System,
     SystemConfig,
     cpu_config,
@@ -32,7 +32,6 @@ from repro.sim import (
     ndp_config,
     run_mechanisms,
     run_once,
-    run_sweep,
 )
 from repro.service import (
     SweepPolicy,
@@ -68,7 +67,6 @@ __all__ = [
     "RunResult",
     "SweepPolicy",
     "SweepResult",
-    "SweepRunner",
     "SweepService",
     "System",
     "SystemConfig",
@@ -80,6 +78,5 @@ __all__ = [
     "occupancy_report",
     "run_mechanisms",
     "run_once",
-    "run_sweep",
     "workload_table",
 ]

@@ -3,12 +3,11 @@
 Each function *declares* the config grid a figure needs, hands the grid
 to a :class:`~repro.service.SweepService`, and assembles the returned
 results into plain data (dicts keyed by workload/mechanism); the
-benchmark harness prints the rows and EXPERIMENTS.md records
-paper-vs-measured.  All drivers accept ``workloads``, ``refs_per_core``,
+benchmarks in ``benchmarks/`` print the rows next to the paper's
+numbers.  All drivers accept ``workloads``, ``refs_per_core``,
 ``scale`` and ``seed`` so tests can shrink them and the benches can run
-them at full sweep size, plus ``runner`` — a
-:class:`~repro.service.SweepService` (or legacy
-:class:`~repro.sim.sweep.SweepRunner`) to parallelize and cache the
+them at full sweep size, plus ``runner`` — the
+:class:`~repro.service.SweepService` that parallelizes and caches the
 sweep (``python -m repro figure fig12 --jobs 4 --cache-dir DIR``).
 Results are bit-identical whatever the backend: cells are independent
 and the simulator is deterministic across processes.
@@ -52,9 +51,8 @@ def _config(system: str, workload: str, mechanism: str, num_cores: int,
 
 def _sweep(configs: Sequence[SystemConfig],
            runner) -> List[Optional[RunResult]]:
-    """Run a declared grid through any object with the ``run(configs)``
-    surface — a :class:`~repro.service.SweepService` or a legacy
-    :class:`~repro.sim.sweep.SweepRunner`; serial in-process when no
+    """Run a declared grid through ``runner`` (a
+    :class:`~repro.service.SweepService`); serial in-process when no
     runner is given."""
     if runner is None:
         from repro.service import SweepService

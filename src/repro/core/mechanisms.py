@@ -13,7 +13,7 @@ caches, and how the OS backs memory:
 * ``ideal``    — zero-latency translation upper bound.
 
 Ablation variants decompose NDPage's two mechanisms so their individual
-contributions can be measured (DESIGN.md "ablations"):
+contributions can be measured (``benchmarks/test_ablation_ndpage.py``):
 ``ndpage-bypass-only``, ``ndpage-flatten-only``, ``ndpage-nopwc``.
 """
 

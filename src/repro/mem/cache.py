@@ -8,30 +8,23 @@ the normal-data miss rate from its ideal value.
 
 Hot-path design: resident lines are stored as packed ints
 (``kind_index << 1 | dirty``) rather than per-line objects, and the
-internal entry point :meth:`Cache.access_fast` takes plain positional
-arguments and returns an int code — no :class:`MemoryRequest`,
-:class:`CacheAccessResult` or per-fill ``CacheLine`` is ever allocated
-on the simulated hot path.  The object-based :meth:`Cache.access`
-remains as a thin shim for tests and external callers.
+single entry point :meth:`Cache.access_fast` takes plain positional
+arguments and returns an int code, describing any victim through
+:attr:`Cache.evict_tag` / :attr:`Cache.evict_kind` — nothing is
+allocated per access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.mem.replacement import (
     LruPolicy,
     ReplacementPolicy,
     make_policy,
 )
-from repro.mem.request import (
-    KIND_BY_INDEX,
-    KIND_INDEX,
-    AccessType,
-    MemoryRequest,
-    RequestKind,
-)
+from repro.mem.request import KIND_BY_INDEX, RequestKind
 from repro.sim.stats import HitMissStats
 
 #: Return codes of :meth:`Cache.access_fast`.
@@ -39,35 +32,6 @@ HIT = 0
 MISS = 1
 MISS_CLEAN_EVICT = 2
 MISS_DIRTY_EVICT = 3
-
-
-@dataclass(slots=True)
-class CacheLine:
-    """State of one resident line (public/introspection shape only).
-
-    Internally lines live as packed ints; this class survives as the
-    element type of :meth:`Cache.access`-era APIs.
-    """
-
-    kind: RequestKind
-    dirty: bool = False
-
-
-@dataclass(slots=True)
-class Eviction:
-    """Description of a line pushed out by a fill."""
-
-    line_addr: int
-    kind: RequestKind
-    dirty: bool
-
-
-@dataclass(slots=True)
-class CacheAccessResult:
-    """Outcome of one cache access."""
-
-    hit: bool
-    eviction: Optional[Eviction] = None
 
 
 @dataclass(slots=True)
@@ -224,25 +188,6 @@ class Cache:
         self.evict_tag = victim_tag
         self.evict_kind = victim_kind
         return MISS_DIRTY_EVICT if dirty else MISS_CLEAN_EVICT
-
-    def access(self, request: MemoryRequest) -> CacheAccessResult:
-        """Object-API shim over :meth:`access_fast`.
-
-        Returns the hit/miss outcome plus any eviction the fill caused
-        so callers can account for write-back traffic.
-        """
-        code = self.access_fast(
-            request.paddr, KIND_INDEX[request.kind],
-            1 if request.access is AccessType.WRITE else 0)
-        if code == HIT:
-            return CacheAccessResult(hit=True)
-        if code == MISS:
-            return CacheAccessResult(hit=False)
-        return CacheAccessResult(hit=False, eviction=Eviction(
-            line_addr=self.evict_tag,
-            kind=KIND_BY_INDEX[self.evict_kind],
-            dirty=code == MISS_DIRTY_EVICT,
-        ))
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line holding ``paddr``; True if it was resident."""

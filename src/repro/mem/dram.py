@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.mem.request import (
-    KIND_BY_INDEX,
-    KIND_INDEX,
-    AccessType,
-    MemoryRequest,
-    RequestKind,
-)
+from repro.mem.request import KIND_BY_INDEX, RequestKind
 from repro.sim.stats import LatencyStats, ratio
 
 
@@ -153,7 +147,7 @@ class DramModel:
     ``access_fast`` is the timing entry point: given the cycle at which
     a request reaches the memory controller, it returns the total
     latency (queueing + service) and advances the target bank's busy
-    window.  ``access`` is the :class:`MemoryRequest` shim over it.
+    window; ``drain_write_fast`` accounts a posted write-back.
     """
 
     LINE_SIZE = 64
@@ -271,12 +265,6 @@ class DramModel:
             service_stats.maximum = total
         return total
 
-    def access(self, now: float, request: MemoryRequest) -> float:
-        """Object-API shim over :meth:`access_fast`."""
-        return self.access_fast(
-            now, request.paddr, KIND_INDEX[request.kind],
-            1 if request.access is AccessType.WRITE else 0)
-
     def drain_write_fast(self, now: float, paddr: int, kind: int) -> None:
         """Account a write-back: occupies the bank but nobody waits on it."""
         if self._pow2:
@@ -299,10 +287,6 @@ class DramModel:
         bank.free_at = start + occupancy
         self.stats.kind_counts[kind] += 1
         self.stats.writes += 1
-
-    def drain_write(self, now: float, request: MemoryRequest) -> None:
-        """Object-API shim over :meth:`drain_write_fast`."""
-        self.drain_write_fast(now, request.paddr, KIND_INDEX[request.kind])
 
     def reset_state(self) -> None:
         """Clear bank occupancy and open rows (statistics preserved)."""

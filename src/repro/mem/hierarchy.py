@@ -10,10 +10,8 @@ Two shapes exist in the paper (Table I):
 ``MemoryHierarchy.access_fast`` is the single timing entry point used by
 the core model (normal data) and the page-table walker (metadata); it
 takes plain positional arguments so the per-reference path allocates
-nothing.  The object-based :meth:`MemoryHierarchy.access` shim accepts a
-:class:`MemoryRequest` for external callers.  NDPage's metadata bypass
-is expressed per request (``bypass_l1``), so the hierarchy stays
-mechanism agnostic.
+nothing.  NDPage's metadata bypass is expressed per request
+(``bypass_l1``), so the hierarchy stays mechanism agnostic.
 """
 
 from __future__ import annotations
@@ -28,12 +26,7 @@ from repro.mem.cache import (
 )
 from repro.mem.dram import DramModel, DramStats, DramTiming
 from repro.mem.interconnect import MeshInterconnect
-from repro.mem.request import (
-    KIND_INDEX,
-    AccessType,
-    MemoryRequest,
-    RequestKind,
-)
+from repro.mem.request import RequestKind
 from repro.vm.address import NODE_PADDR_MASK, NODE_PADDR_SHIFT
 
 
@@ -261,13 +254,6 @@ class MemoryHierarchy:
         else:
             self.drams[victim_paddr >> NODE_PADDR_SHIFT].drain_write_fast(
                 now, victim_paddr & NODE_PADDR_MASK, kind)
-
-    def access(self, now: float, request: MemoryRequest) -> float:
-        """Object-API shim over :meth:`access_fast`."""
-        return self.access_fast(
-            now, request.paddr, KIND_INDEX[request.kind],
-            1 if request.access is AccessType.WRITE else 0,
-            request.core_id, 1 if request.bypass_l1 else 0)
 
     # -- inspection helpers --------------------------------------------------
 

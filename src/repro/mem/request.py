@@ -1,25 +1,23 @@
-"""Memory request descriptors.
+"""Memory request kinds.
 
 The distinction the paper leans on throughout is *normal data* versus
 *metadata* (PTE) traffic: NDPage's first mechanism treats the two
 differently at the L1 cache (Section V-A).  Every request in the
-simulator therefore carries a :class:`RequestKind` so caches, DRAM and
-statistics can attribute traffic correctly.
+simulator therefore carries a kind so caches, DRAM and statistics can
+attribute traffic correctly.
 
-Hot-path representation: the simulator's internal fast paths
+Hot-path representation: the memory entry points
 (``Cache.access_fast``, ``MemoryHierarchy.access_fast``,
-``DramModel.access_fast``) never build :class:`MemoryRequest` objects —
-they pass a small *kind index* (:data:`KIND_DATA`,
-:data:`KIND_METADATA`, :data:`KIND_INSTRUCTION`) and an ``is_write``
-flag as plain positional ints.  :class:`MemoryRequest` remains the
-public, self-describing API; the object-based entry points are thin
-shims over the positional ones.
+``DramModel.access_fast``) allocate no request objects — they take a
+small *kind code* (:data:`KIND_DATA`, :data:`KIND_METADATA`,
+:data:`KIND_INSTRUCTION`) and an ``is_write`` flag as plain positional
+ints; :data:`KIND_BY_INDEX` maps a code back to its
+:class:`RequestKind` for statistics and inspection.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class RequestKind(enum.Enum):
@@ -39,59 +37,6 @@ KIND_DATA = 0
 KIND_METADATA = 1
 KIND_INSTRUCTION = 2
 
-#: kind index -> RequestKind (inverse of KIND_INDEX).
+#: kind code -> RequestKind.
 KIND_BY_INDEX = (RequestKind.DATA, RequestKind.METADATA,
                  RequestKind.INSTRUCTION)
-
-#: RequestKind -> kind index.
-KIND_INDEX = {kind: index for index, kind in enumerate(KIND_BY_INDEX)}
-
-
-class AccessType(enum.Enum):
-    READ = "read"
-    WRITE = "write"
-
-
-@dataclass(frozen=True, slots=True)
-class MemoryRequest:
-    """A single line-granularity physical memory request.
-
-    Attributes:
-        paddr: physical byte address (the hierarchy works at line
-            granularity internally).
-        kind: data vs metadata vs instruction, for attribution and for
-            NDPage's metadata bypass decision.
-        access: read or write.
-        core_id: issuing core, used by the DRAM model for per-core stats.
-        bypass_l1: when True the request must not be looked up in, nor
-            allocated into, the first-level cache (NDPage Section V-A).
-    """
-
-    paddr: int
-    kind: RequestKind = RequestKind.DATA
-    access: AccessType = AccessType.READ
-    core_id: int = 0
-    bypass_l1: bool = False
-
-    def with_bypass(self) -> "MemoryRequest":
-        """Copy of this request flagged to bypass the L1 cache."""
-        return MemoryRequest(
-            paddr=self.paddr,
-            kind=self.kind,
-            access=self.access,
-            core_id=self.core_id,
-            bypass_l1=True,
-        )
-
-
-def read(paddr: int, kind: RequestKind = RequestKind.DATA,
-         core_id: int = 0) -> MemoryRequest:
-    """Convenience constructor for a read request."""
-    return MemoryRequest(paddr=paddr, kind=kind, core_id=core_id)
-
-
-def write(paddr: int, kind: RequestKind = RequestKind.DATA,
-          core_id: int = 0) -> MemoryRequest:
-    """Convenience constructor for a write request."""
-    return MemoryRequest(paddr=paddr, kind=kind,
-                         access=AccessType.WRITE, core_id=core_id)

@@ -5,7 +5,7 @@ wires together the paper's configuration: a 64-entry 4-way L1 D-TLB for
 4 KB pages, a small L1 TLB for 2 MB pages, and a 1536-entry 12-cycle
 shared L2 TLB.
 
-Microarchitectural choice (documented in EXPERIMENTS.md): the L2 TLB
+Microarchitectural choice: the L2 TLB
 holds 4 KB translations only — 2 MB pages are cached solely in the
 dedicated L1 2 MB TLB, as on several real cores.  The paper's Table I
 does not specify; this choice is what gives the Huge Page baseline a

@@ -20,8 +20,10 @@ moves (plans are a pure function of the table structure), and executes
 walks directly off the raw plan with per-level bypass/PWC lookups
 memoized, the PWC probe/fill fused into one pass, and the L1 metadata
 hit inlined — falling back to the hierarchy's positional fast path on
-cache misses.  No ``MemoryRequest``, ``WalkStage`` traversal or
-tuple-key hashing happens per walk.
+cache misses.  No request object, ``WalkStage`` traversal or
+tuple-key hashing happens per walk.  The one timing entry point is
+:meth:`PageTableWalker.walk_from_plan`; callers resolve the plan with
+:meth:`PageTableWalker.plan_info` first.
 
 The PWC fill is fused into the probe: both touch the same per-level
 sets, the caches are private to this walker, and nothing else runs
@@ -41,21 +43,12 @@ from repro.mem.request import KIND_METADATA
 from repro.mmu.pwc import PwcSet
 from repro.sim.stats import LatencyStats
 from repro.vm.address import asid_tag
-from repro.vm.base import MappingError, PageTable
+from repro.vm.base import PageTable
 
 #: Plan-memo bound; the memo is cleared wholesale when it fills.  High
 #: enough that steady-state walks of a hot page set always hit, low
 #: enough that a page-churning run cannot grow without bound.
 _PLAN_CACHE_LIMIT = 1 << 16
-
-
-@dataclass
-class WalkOutcome:
-    """Timing summary of one page walk."""
-
-    latency: float
-    memory_accesses: int
-    pwc_hit_level: Optional[str]
 
 
 @dataclass(slots=True)
@@ -75,8 +68,7 @@ class PageTableWalker:
 
     __slots__ = ("table", "hierarchy", "core_id", "pwcs", "bypass",
                  "asid_tag", "stats", "_level_info", "_plan_cache",
-                 "_plan_cache_version", "_l1", "last_accesses",
-                 "last_pwc_hit_level")
+                 "_plan_cache_version", "_l1")
 
     def __init__(self, table: PageTable, hierarchy: MemoryHierarchy,
                  core_id: int, pwcs: Optional[PwcSet] = None,
@@ -100,9 +92,6 @@ class PageTableWalker:
         self._plan_cache_version = -1
         # This core's L1, for the inlined metadata-hit fast path.
         self._l1 = hierarchy.l1ds[core_id]
-        # Details of the most recent walk_fast, for the WalkOutcome shim.
-        self.last_accesses = 0
-        self.last_pwc_hit_level: Optional[str] = None
 
     def _level_info_for(self, level: str) -> tuple:
         caches = self.pwcs._caches if self.pwcs is not None else {}
@@ -172,18 +161,6 @@ class PageTableWalker:
                       for stage in staged),
                 translation)
 
-    def walk_fast(self, now: float, page: int) -> float:
-        """Walk the table for VPN ``page`` at ``now``; return the latency.
-
-        Allocation-free fast path; the memory-access count and PWC hit
-        level of the walk are left in :attr:`last_accesses` /
-        :attr:`last_pwc_hit_level` for the :meth:`walk` shim.
-        """
-        plan = self.plan_info(page)
-        if plan is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return self.walk_from_plan(now, plan[0], plan[1])
-
     def walk_from_plan(self, now: float, flat: Optional[tuple],
                        staged: Optional[tuple]) -> float:
         """Execute a resolved walk plan at cycle ``now``.
@@ -197,8 +174,6 @@ class PageTableWalker:
         if flat is None:
             return self._walk_staged(now, staged)
         if not flat:  # ideal table: nothing to fetch
-            self.last_accesses = 0
-            self.last_pwc_hit_level = None
             stats.latency.record(0.0)
             return 0.0
 
@@ -208,7 +183,6 @@ class PageTableWalker:
         # of missing levels is fused into the same pass (see module
         # docstring for why that is equivalent).
         start = 0
-        hit_level = None
         pwcs = self.pwcs
         if pwcs is not None:
             index = 0
@@ -222,7 +196,6 @@ class PageTableWalker:
                             pwc[3].hits += 1
                             pwc_set[key] = pwc_set.pop(key)
                             start = index + 1
-                            hit_level = step[4]
                         else:
                             pwc[3].misses += 1
                             if len(pwc_set) >= pwc[2]:
@@ -232,7 +205,6 @@ class PageTableWalker:
             latency = float(pwcs.latency)
         else:
             latency = 0.0
-        self.last_pwc_hit_level = hit_level
 
         accesses = 0
         clock = now + latency
@@ -268,7 +240,6 @@ class PageTableWalker:
             accesses += 1
 
         latency = clock - now
-        self.last_accesses = accesses
         stats.memory_accesses += accesses
         latency_stats = stats.latency
         latency_stats.total += latency
@@ -309,25 +280,20 @@ class PageTableWalker:
         """
         stats = self.stats
         if not staged:
-            self.last_accesses = 0
-            self.last_pwc_hit_level = None
             stats.latency.record(0.0)
             return 0.0
 
         start = 0
-        hit_level = None
         pwcs = self.pwcs
         if pwcs is not None:
             index = 0
             for stage in staged:
                 if len(stage) == 1 and self._probe_single_step(stage[0]):
                     start = index + 1
-                    hit_level = stage[0][4]
                 index += 1
             latency = float(pwcs.latency)
         else:
             latency = 0.0
-        self.last_pwc_hit_level = hit_level
 
         accesses = 0
         clock = now + latency
@@ -345,7 +311,6 @@ class PageTableWalker:
             clock += stage_latency
 
         latency = clock - now
-        self.last_accesses = accesses
         stats.memory_accesses += accesses
         latency_stats = stats.latency
         latency_stats.total += latency
@@ -353,9 +318,3 @@ class PageTableWalker:
         if latency > latency_stats.maximum:
             latency_stats.maximum = latency
         return latency
-
-    def walk(self, now: float, page: int) -> WalkOutcome:
-        """Object-API shim over :meth:`walk_fast`."""
-        latency = self.walk_fast(now, page)
-        return WalkOutcome(latency, self.last_accesses,
-                           self.last_pwc_hit_level)

@@ -275,8 +275,8 @@ class SweepService:
     def run(self, configs: Sequence[SystemConfig],
             run_fn: Optional[Callable] = None
             ) -> List[Optional[RunResult]]:
-        """Drop-in replacement for ``SweepRunner.run``: plain result
-        list, strict raise per the service policy."""
+        """:meth:`run_grid` under the service policy, returning the
+        plain result list (the figure drivers' ``runner=`` seam)."""
         return self.run_grid(configs, run_fn=run_fn).results
 
     def _execute(self, configs, policy, run_fn):

@@ -23,12 +23,7 @@ from repro.sim.scheduler import (
     SchedulerStats,
     TenantCoordinator,
 )
-from repro.sim.sweep import (
-    SweepRunner,
-    SweepStats,
-    expand_grid,
-    run_sweep,
-)
+from repro.sim.sweep import SweepStats, expand_grid
 from repro.sim.system import System
 from repro.sim.topology import NumaFrameAllocator, NumaTopology
 
@@ -50,7 +45,6 @@ __all__ = [
     "SchedulerParams",
     "SchedulerStats",
     "SimulationEngine",
-    "SweepRunner",
     "SweepStats",
     "System",
     "TenantCoordinator",
@@ -61,5 +55,4 @@ __all__ = [
     "ndp_config",
     "run_mechanisms",
     "run_once",
-    "run_sweep",
 ]

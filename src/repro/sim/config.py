@@ -8,8 +8,7 @@ the paper's values as defaults.
 ``scale`` shrinks *workload footprints* (and physical memory with them)
 so runs complete in seconds; hardware structure sizes stay at Table I
 values, keeping every capacity ratio that matters — footprint versus
-TLB reach, PTE working set versus L1 — in the paper's regime (see
-DESIGN.md, "Timing model substitution").
+TLB reach, PTE working set versus L1 — in the paper's regime.
 """
 
 from __future__ import annotations

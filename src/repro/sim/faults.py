@@ -13,7 +13,7 @@ CI chaos job use it to script scenarios like "cell X fails on attempt 1
 and recovers on attempt 2" with full determinism.
 
 Plans travel as text — the ``REPRO_FAULT_PLAN`` environment variable or
-the ``fault_plan=`` argument to ``SweepRunner`` — with one
+:attr:`repro.sim.sweep.SweepPolicy.fault_plan` — with one
 ``;``-separated clause per fault::
 
     fail:bfs/ndpage/:*         raise InjectedFault on every attempt

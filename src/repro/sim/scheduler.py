@@ -440,11 +440,10 @@ def quantum_chunks(chunks, quantum: int):
 
     Keeps chunk handover aligned to time slices — including when the
     quantum exceeds the workload's generation batch (cumulative
-    boundaries like 8192+1808 for a 10000-ref quantum).  Works on any
-    chunk arity (``(addrs, writes)`` or the preprocessed
-    ``(addrs, writes, vpns, vlines)`` tuples); pure list slicing on
-    already-generated chunks, so the underlying RNG draw sequence is
-    untouched.
+    boundaries like 8192+1808 for a 10000-ref quantum).  Every field of
+    a chunk is sliced alike, so chunk arity is preserved; pure list
+    slicing on already-generated chunks, so the underlying RNG draw
+    sequence is untouched.
     """
     used = 0
     for chunk in chunks:

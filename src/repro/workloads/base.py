@@ -4,8 +4,8 @@ The paper evaluates 11 data-intensive applications (Table II) under a
 cycle-level simulator.  Here each application is a *reference-stream
 generator* reproducing its documented access pattern — the structure
 that matters to address translation: footprint, locality, read/write
-mix and pointer-chasing irregularity.  DESIGN.md's "Workload
-substitution" table maps each generator to its paper counterpart.
+mix and pointer-chasing irregularity.  Each generator module's
+docstring names its paper counterpart; ``repro workloads`` lists them.
 
 A workload exposes:
 
@@ -54,8 +54,8 @@ def chunk_probe_keys(addrs: np.ndarray) -> Tuple[List[int], List[int]]:
     (``addr >> LINE_SHIFT``) of every reference — the two keys the
     inlined TLB/L1 hit probe in :meth:`repro.sim.core_model
     .Core.step_until` consumes.  The single definition of the chunk
-    layout contract: both :meth:`Workload.stream_chunks` and
-    ``Core._refill`` (legacy two-field chunks) derive through it.
+    layout contract: :meth:`Workload.stream_chunks` derives through
+    it, and so should any hand-built chunk fed to a ``Core``.
     """
     return (((addrs & VA_MASK) >> PAGE_SHIFT).tolist(),
             (addrs >> LINE_SHIFT).tolist())
@@ -195,8 +195,7 @@ class Workload(ABC):
         ``probe_keys=False`` yields plain ``(addresses, writes)``
         pairs instead — same addresses, no VPN/line materialization —
         for consumers that only read addresses (the prefault warmup,
-        :meth:`stream`); ``Core._refill`` derives the arrays on demand
-        if such a stream is ever fed to a core.
+        :meth:`stream`).  A ``Core`` needs the four-field chunks.
         """
         rng = np.random.default_rng(
             (self.seed * 1_000_003 + core_id) & 0xFFFFFFFF)

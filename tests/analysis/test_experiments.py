@@ -76,8 +76,8 @@ class TestTenantInterference:
         assert row["2t x"] >= 1.0
 
     def test_interference_through_runner(self, tmp_path):
-        from repro.sim.sweep import SweepRunner
-        runner = SweepRunner(jobs=1, cache_dir=str(tmp_path))
+        from repro.service import SweepService
+        runner = SweepService(jobs=1, cache_dir=str(tmp_path))
         first = experiments.tenant_interference(
             workload="rnd", mechanisms=("radix",), tenant_counts=(1, 2),
             refs_per_core=400, scale=1 / 64, runner=runner)

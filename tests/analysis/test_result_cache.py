@@ -13,6 +13,7 @@ from repro.analysis.cache import (
     result_from_dict,
     result_to_dict,
 )
+from repro.service import SweepService
 from repro.sim.config import ndp_config
 from repro.sim.runner import run_once
 
@@ -185,8 +186,9 @@ class TestEntryIntegrity:
         assert old.path(cfg).exists()
 
     def test_v1_entry_readable_and_migrated(self, tmp_path):
-        """Pre-checksum entries still hit, and the first load rewrites
-        them as v2 so integrity covers them from then on."""
+        """A pre-checksum (format 1) entry decodes as corrupt, like a
+        truncated entry: it is quarantined as a one-time miss, and the
+        re-simulated cell migrates the slot to a v2 entry."""
         cache = ResultCache(tmp_path)
         cfg = tiny_config()
         result = run_once(cfg)
@@ -198,17 +200,30 @@ class TestEntryIntegrity:
         cache.root.mkdir(parents=True, exist_ok=True)
         cache.path(cfg).write_text(json.dumps(v1) + "\n")
 
-        loaded = cache.load(cfg)
-        assert loaded is not None
-        assert dataclasses.asdict(loaded) == dataclasses.asdict(result)
-        assert cache.stats.hits == 1
+        assert cache.load(cfg) is None
+        assert cache.stats.hits == 0
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt == 1
+        assert not cache.path(cfg).exists()
+        assert (tmp_path / QUARANTINE_DIR / cache.path(cfg).name).exists()
 
+        service = SweepService(cache=cache)
+        (rerun,) = service.run([cfg])
+        assert service.last_stats.simulated == 1
+        assert dataclasses.asdict(rerun) == dataclasses.asdict(result)
         migrated = json.loads(cache.path(cfg).read_text())
         assert migrated["format"] == 2
         assert migrated["sha256"] == payload_checksum(migrated["result"])
-        # And the migrated entry is bit-identical on a re-load.
+        # The v2 entry is served bit-identically from now on.
         again = cache.load(cfg)
         assert dataclasses.asdict(again) == dataclasses.asdict(result)
+
+        # verify() classifies a format-1 entry as corrupt too.
+        other = tiny_config(seed=99)
+        cache.path(other).write_text(json.dumps(v1) + "\n")
+        report = cache.verify()
+        assert report.corrupt == 1
+        assert report.ok == 1
 
 
 class TestVerifyAndGc:

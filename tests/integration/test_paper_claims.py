@@ -37,7 +37,7 @@ class TestObservation1Irregularity:
         # (1.37x).  Our streams have less data-side cache affinity, so
         # the *rate* gap is small, but the mechanism — metadata fills
         # evicting live data lines — is directly observable and the
-        # direction never inverts.  Recorded in EXPERIMENTS.md.
+        # direction never inverts.
         radix = gups_results["radix"]
         ideal = gups_results["ideal"]
         assert radix.data_evicted_by_metadata > 100
@@ -62,7 +62,7 @@ class TestObservation2Occupancy:
 class TestMechanism1Bypass:
     """Section V-A: bypass removes pollution and PTE lookup cost.
 
-    Measured nuance (recorded in EXPERIMENTS.md): applied to the
+    Measured nuance: applied to the
     *radix* tree alone, bypassing also forfeits the L1 hits its
     reusable upper-level PTEs would get, so bypass-only lands within a
     few percent of radix.  The bypass pays off in the NDPage composite,

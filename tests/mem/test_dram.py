@@ -3,11 +3,11 @@
 import pytest
 
 from repro.mem.dram import DDR4_2400, HBM2, DramModel, DramTiming
-from repro.mem.request import AccessType, MemoryRequest, RequestKind
+from repro.mem.request import KIND_DATA, KIND_METADATA, RequestKind
 
 
-def req(paddr, kind=RequestKind.DATA):
-    return MemoryRequest(paddr=paddr, kind=kind)
+def req(dram, now, paddr, kind=KIND_DATA):
+    return dram.access_fast(now, paddr, kind, 0)
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ class TestPresets:
 
 class TestLatency:
     def test_first_access_is_row_miss(self, dram):
-        latency = dram.access(0.0, req(0))
+        latency = req(dram, 0.0, 0)
         assert latency == HBM2.row_miss_cycles
         assert dram.stats.row_misses == 1
 
@@ -46,21 +46,21 @@ class TestLatency:
     SAME_BANK_OTHER_ROW = 262_144
 
     def test_same_row_hit(self, dram):
-        dram.access(0.0, req(0))
-        latency = dram.access(1000.0, req(self.SAME_ROW))
+        req(dram, 0.0, 0)
+        latency = req(dram, 1000.0, self.SAME_ROW)
         assert latency == HBM2.row_hit_cycles
         assert dram.stats.row_hits == 1
 
     def test_row_conflict_after_other_row(self, dram):
-        dram.access(0.0, req(0))
-        dram.access(1000.0, req(self.SAME_BANK_OTHER_ROW))
-        later = dram.access(2000.0, req(0))
+        req(dram, 0.0, 0)
+        req(dram, 1000.0, self.SAME_BANK_OTHER_ROW)
+        later = req(dram, 2000.0, 0)
         assert later == HBM2.row_miss_cycles
         assert dram.stats.row_misses == 3
 
     def test_bank_queueing_adds_delay(self, dram):
-        first = dram.access(0.0, req(0))
-        second = dram.access(0.0, req(self.SAME_ROW))
+        first = req(dram, 0.0, 0)
+        second = req(dram, 0.0, self.SAME_ROW)
         # Same bank at the same instant: the second waits out the
         # occupancy window of the first.
         assert second > HBM2.row_hit_cycles
@@ -68,45 +68,44 @@ class TestLatency:
         assert first == HBM2.row_miss_cycles
 
     def test_different_channels_no_queueing(self, dram):
-        dram.access(0.0, req(0))
-        dram.access(0.0, req(64))  # line 1 -> channel 1
+        req(dram, 0.0, 0)
+        req(dram, 0.0, 64)  # line 1 -> channel 1
         assert dram.stats.queue_delay.total == 0.0
 
 
 class TestAttribution:
     def test_kind_counters(self, dram):
-        dram.access(0.0, req(0))
-        dram.access(0.0, req(1 << 20, kind=RequestKind.METADATA))
+        req(dram, 0.0, 0)
+        req(dram, 0.0, 1 << 20, kind=KIND_METADATA)
         by_kind = dram.stats.accesses_by_kind
         assert by_kind[RequestKind.DATA] == 1
         assert by_kind[RequestKind.METADATA] == 1
 
     def test_writes_counted(self, dram):
-        dram.access(0.0, MemoryRequest(paddr=0, access=AccessType.WRITE))
+        dram.access_fast(0.0, 0, KIND_DATA, 1)
         assert dram.stats.writes == 1
 
     def test_drain_write_counts_but_is_posted(self, dram):
-        dram.drain_write(0.0, MemoryRequest(
-            paddr=0, access=AccessType.WRITE))
+        dram.drain_write_fast(0.0, 0, KIND_DATA)
         assert dram.stats.writes == 1
         # Posted write occupies the bank: a racing read queues.
-        latency = dram.access(0.0, req(0))
+        latency = req(dram, 0.0, 0)
         assert latency >= HBM2.row_hit_cycles
 
     def test_row_hit_rate(self, dram):
-        dram.access(0.0, req(0))
-        dram.access(500.0, req(128))
-        dram.access(1000.0, req(256))
+        req(dram, 0.0, 0)
+        req(dram, 500.0, 128)
+        req(dram, 1000.0, 256)
         assert dram.stats.row_hit_rate == pytest.approx(2 / 3)
 
 
 class TestInterleaving:
     def test_sequential_lines_share_rows(self, dram):
         """Open-page interleave: streaming gets row-buffer hits."""
-        dram.access(0.0, req(0))
+        req(dram, 0.0, 0)
         hits_before = dram.stats.row_hits
         # Lines 2, 4, ... on channel 0 fall in the same row at first.
-        latency = dram.access(10_000.0, req(2 * 64))
+        latency = req(dram, 10_000.0, 2 * 64)
         assert dram.stats.row_hits == hits_before + 1
         assert latency == HBM2.row_hit_cycles
 
@@ -122,9 +121,9 @@ class TestInterleaving:
         assert len(banks) >= 6
 
     def test_reset_state_clears_busy_banks(self, dram):
-        dram.access(0.0, req(0))
+        req(dram, 0.0, 0)
         dram.reset_state()
-        latency = dram.access(0.0, req(0))
+        latency = req(dram, 0.0, 0)
         assert latency == HBM2.row_miss_cycles  # row closed again
 
 
@@ -135,5 +134,5 @@ class TestCustomTiming:
                             row_miss_cycles=20, burst_cycles=2,
                             row_cycle_cycles=25)
         dram = DramModel(timing)
-        assert dram.access(0.0, req(0)) == 20
-        assert dram.access(100.0, req(64)) == 10
+        assert req(dram, 0.0, 0) == 20
+        assert req(dram, 100.0, 64) == 10

@@ -4,16 +4,17 @@ import pytest
 
 from repro.mem.dram import DDR4_2400, HBM2
 from repro.mem.hierarchy import build_cpu_hierarchy, build_ndp_hierarchy
-from repro.mem.request import AccessType, MemoryRequest, RequestKind
+from repro.mem.request import KIND_DATA, KIND_METADATA, RequestKind
 
 
-def data(paddr, core=0):
-    return MemoryRequest(paddr=paddr, core_id=core)
+def data(hierarchy, now, paddr, core=0, write=False):
+    return hierarchy.access_fast(now, paddr, KIND_DATA, int(write),
+                                 core, 0)
 
 
-def meta(paddr, core=0, bypass=False):
-    return MemoryRequest(paddr=paddr, kind=RequestKind.METADATA,
-                         core_id=core, bypass_l1=bypass)
+def meta(hierarchy, now, paddr, core=0, bypass=False):
+    return hierarchy.access_fast(now, paddr, KIND_METADATA, 0, core,
+                                 int(bypass))
 
 
 @pytest.fixture
@@ -48,60 +49,60 @@ class TestShapes:
 
 class TestLatencies:
     def test_l1_hit_costs_l1_latency(self, ndp):
-        ndp.access(0.0, data(0))
-        assert ndp.access(1000.0, data(0)) == 4.0
+        data(ndp, 0.0, 0)
+        assert data(ndp, 1000.0, 0) == 4.0
 
     def test_ndp_miss_goes_to_dram(self, ndp):
-        latency = ndp.access(0.0, data(0))
+        latency = data(ndp, 0.0, 0)
         # L1 lookup + 2x NoC + DRAM row miss.
         assert latency == 4 + 5 + HBM2.row_miss_cycles + 5
 
     def test_cpu_miss_descends_through_levels(self, cpu):
-        latency = cpu.access(0.0, data(0))
+        latency = data(cpu, 0.0, 0)
         assert latency > 4 + 16 + 35  # at least all lookups + memory
 
     def test_cpu_l2_hit_cheaper_than_memory(self, cpu):
-        cpu.access(0.0, data(0))
+        data(cpu, 0.0, 0)
         big_stride = 64 * 64 * 8 * 4  # beyond L1 sets, within L2
-        cpu.access(0.0, data(big_stride))
+        data(cpu, 0.0, big_stride)
         # Evict line 0 from tiny L1 by filling its set.
         for i in range(1, 9):
-            cpu.access(0.0, data(i * 64 * 64))
-        latency = cpu.access(10_000.0, data(0))
+            data(cpu, 0.0, i * 64 * 64)
+        latency = data(cpu, 10_000.0, 0)
         assert latency == 4 + 16  # L1 miss, L2 hit
 
 
 class TestBypass:
     def test_bypassed_metadata_skips_l1(self, ndp):
-        ndp.access(0.0, meta(0, bypass=True))
+        meta(ndp, 0.0, 0, bypass=True)
         assert not ndp.l1ds[0].contains(0)
         assert ndp.stats.l1_bypasses == 1
 
     def test_bypassed_metadata_not_looked_up_in_l1(self, ndp):
-        ndp.access(0.0, data(0))  # line resident
+        data(ndp, 0.0, 0)  # line resident
         before = ndp.l1ds[0].stats.metadata.accesses
-        ndp.access(0.0, meta(0, bypass=True))
+        meta(ndp, 0.0, 0, bypass=True)
         assert ndp.l1ds[0].stats.metadata.accesses == before
 
     def test_cacheable_metadata_allocates_into_l1(self, ndp):
-        ndp.access(0.0, meta(0, bypass=False))
+        meta(ndp, 0.0, 0, bypass=False)
         assert ndp.l1ds[0].contains(0)
 
     def test_bypass_saves_l1_latency_on_miss(self, ndp):
-        lat_bypass = ndp.access(0.0, meta(1 << 20, bypass=True))
-        lat_cached = ndp.access(0.0, meta(2 << 20, bypass=False))
+        lat_bypass = meta(ndp, 0.0, 1 << 20, bypass=True)
+        lat_cached = meta(ndp, 0.0, 2 << 20, bypass=False)
         assert lat_cached == lat_bypass + 4
 
 
 class TestIsolation:
     def test_private_l1_per_core(self, ndp):
-        ndp.access(0.0, data(0, core=0))
+        data(ndp, 0.0, 0, core=0)
         assert ndp.l1ds[0].contains(0)
         assert not ndp.l1ds[1].contains(0)
 
     def test_shared_l3_across_cores(self, cpu):
-        cpu.access(0.0, data(0, core=0))
-        latency = cpu.access(10_000.0, data(0, core=1))
+        data(cpu, 0.0, 0, core=0)
+        latency = data(cpu, 10_000.0, 0, core=1)
         # Core 1 misses its L1/L2 but hits the shared L3.
         assert latency == 4 + 16 + 35
 
@@ -109,18 +110,18 @@ class TestIsolation:
 class TestWritebacks:
     def test_dirty_eviction_reaches_dram(self, ndp):
         stride = 64 * 64  # L1 set stride (64 sets)
-        ndp.access(0.0, MemoryRequest(paddr=0, access=AccessType.WRITE))
+        data(ndp, 0.0, 0, write=True)
         for i in range(1, 9):  # evict through the 8 ways
-            ndp.access(0.0, data(i * stride))
+            data(ndp, 0.0, i * stride)
         assert ndp.dram.stats.writes >= 1
 
     def test_miss_rate_helper(self, ndp):
-        ndp.access(0.0, data(0))
-        ndp.access(0.0, data(0))
+        data(ndp, 0.0, 0)
+        data(ndp, 0.0, 0)
         assert ndp.l1_miss_rate(RequestKind.DATA) == 0.5
 
     def test_reset_stats(self, ndp):
-        ndp.access(0.0, data(0))
+        data(ndp, 0.0, 0)
         ndp.reset_stats()
         assert ndp.stats.accesses == 0
         assert ndp.l1ds[0].stats.data.accesses == 0

@@ -129,10 +129,10 @@ class TestEvictionHooks:
 
     def test_cache_invalidate_informs_policy(self):
         from repro.mem.cache import Cache
-        from repro.mem.request import MemoryRequest
+        from repro.mem.request import KIND_DATA
 
         cache = Cache("srrip", 1024, 2, 1, replacement="srrip")
-        cache.access(MemoryRequest(paddr=0))
+        cache.access_fast(0, KIND_DATA, 0)
         line = cache.line_addr(0)
         assert line in cache._policy._rrpv
         cache.invalidate(0)
@@ -140,11 +140,11 @@ class TestEvictionHooks:
 
     def test_cache_flush_informs_policy(self):
         from repro.mem.cache import Cache
-        from repro.mem.request import MemoryRequest
+        from repro.mem.request import KIND_DATA
 
         cache = Cache("srrip", 1024, 2, 1, replacement="srrip")
         for i in range(8):
-            cache.access(MemoryRequest(paddr=i * 64))
+            cache.access_fast(i * 64, KIND_DATA, 0)
         cache.flush()
         assert cache._policy._rrpv == {}
 
@@ -152,9 +152,9 @@ class TestEvictionHooks:
         """Fill-driven evictions must not leave RRPV entries behind —
         the leak that skewed later victim picks before the hooks."""
         from repro.mem.cache import Cache
-        from repro.mem.request import MemoryRequest
+        from repro.mem.request import KIND_DATA
 
         cache = Cache("srrip", 1024, 2, 1, replacement="srrip")
         for i in range(200):
-            cache.access(MemoryRequest(paddr=i * 64))
+            cache.access_fast(i * 64, KIND_DATA, 0)
         assert len(cache._policy._rrpv) <= cache.resident_lines

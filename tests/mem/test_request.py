@@ -1,10 +1,11 @@
-"""Tests for memory-request descriptors."""
+"""Tests for memory-request kinds and their fast-path codes."""
 
 from repro.mem.request import (
-    AccessType,
+    KIND_BY_INDEX,
+    KIND_DATA,
+    KIND_INSTRUCTION,
+    KIND_METADATA,
     RequestKind,
-    read,
-    write,
 )
 
 
@@ -15,31 +16,9 @@ class TestRequestKind:
         assert not RequestKind.INSTRUCTION.is_metadata
 
 
-class TestConstructors:
-    def test_read_defaults(self):
-        req = read(0x1000)
-        assert req.access is AccessType.READ
-        assert req.kind is RequestKind.DATA
-        assert not req.bypass_l1
-
-    def test_write(self):
-        req = write(0x1000, kind=RequestKind.METADATA, core_id=3)
-        assert req.access is AccessType.WRITE
-        assert req.core_id == 3
-
-    def test_with_bypass_copies(self):
-        req = read(0x40, kind=RequestKind.METADATA, core_id=2)
-        bypassed = req.with_bypass()
-        assert bypassed.bypass_l1
-        assert not req.bypass_l1  # original untouched (frozen)
-        assert bypassed.paddr == req.paddr
-        assert bypassed.kind == req.kind
-        assert bypassed.core_id == req.core_id
-
-    def test_requests_are_immutable(self):
-        req = read(0)
-        try:
-            req.paddr = 1
-        except Exception:
-            return
-        raise AssertionError("MemoryRequest should be frozen")
+class TestKindCodes:
+    def test_codes_index_kinds(self):
+        assert KIND_BY_INDEX[KIND_DATA] is RequestKind.DATA
+        assert KIND_BY_INDEX[KIND_METADATA] is RequestKind.METADATA
+        assert KIND_BY_INDEX[KIND_INSTRUCTION] is RequestKind.INSTRUCTION
+        assert len(KIND_BY_INDEX) == len(RequestKind)

@@ -32,42 +32,44 @@ def make_mmu(ideal=False):
 class TestTranslationFlow:
     def test_first_access_faults_and_walks(self):
         mmu = make_mmu()
-        outcome = mmu.translate(0.0, 0x1234_5678)
-        assert not outcome.tlb_hit
-        assert outcome.walked
-        assert outcome.fault_cycles > 0
-        assert outcome.latency > 13  # TLB miss + walk
+        _, latency, fault_cycles, tlb_hit, walked = \
+            mmu.translate_parts(0.0, 0x1234_5678)
+        assert not tlb_hit
+        assert walked
+        assert fault_cycles > 0
+        assert latency > 13  # TLB miss + walk
 
     def test_second_access_tlb_hit(self):
         mmu = make_mmu()
-        mmu.translate(0.0, 0x1234_5678)
-        outcome = mmu.translate(1000.0, 0x1234_5678)
-        assert outcome.tlb_hit
-        assert outcome.latency == 1
-        assert outcome.fault_cycles == 0
+        mmu.translate_parts(0.0, 0x1234_5678)
+        _, latency, fault_cycles, tlb_hit, _ = \
+            mmu.translate_parts(1000.0, 0x1234_5678)
+        assert tlb_hit
+        assert latency == 1
+        assert fault_cycles == 0
 
     def test_paddr_preserves_offset(self):
         mmu = make_mmu()
-        outcome = mmu.translate(0.0, 0x1234_5678)
-        assert outcome.paddr % 4096 == 0x678
+        paddr = mmu.translate_parts(0.0, 0x1234_5678)[0]
+        assert paddr % 4096 == 0x678
 
     def test_same_page_same_frame(self):
         mmu = make_mmu()
-        a = mmu.translate(0.0, 0x1234_5000)
-        b = mmu.translate(100.0, 0x1234_5FFF)
-        assert a.paddr // 4096 == b.paddr // 4096
+        a = mmu.translate_parts(0.0, 0x1234_5000)[0]
+        b = mmu.translate_parts(100.0, 0x1234_5FFF)[0]
+        assert a // 4096 == b // 4096
 
     def test_different_pages_different_frames(self):
         mmu = make_mmu()
-        a = mmu.translate(0.0, 0x1000)
-        b = mmu.translate(100.0, 0x2000)
-        assert a.paddr // 4096 != b.paddr // 4096
+        a = mmu.translate_parts(0.0, 0x1000)[0]
+        b = mmu.translate_parts(100.0, 0x2000)[0]
+        assert a // 4096 != b // 4096
 
     def test_stats_accumulate(self):
         mmu = make_mmu()
-        mmu.translate(0.0, 0x1000)
-        mmu.translate(100.0, 0x1000)
-        mmu.translate(200.0, 0x2000)
+        mmu.translate_parts(0.0, 0x1000)
+        mmu.translate_parts(100.0, 0x1000)
+        mmu.translate_parts(200.0, 0x2000)
         assert mmu.stats.translations == 3
         assert mmu.stats.tlb_hits == 1
         assert mmu.stats.walks == 2
@@ -75,7 +77,7 @@ class TestTranslationFlow:
 
     def test_walk_latency_distribution(self):
         mmu = make_mmu()
-        mmu.translate(0.0, 0x1000)
+        mmu.translate_parts(0.0, 0x1000)
         assert mmu.stats.walk_latency.count == 1
         assert mmu.stats.walk_latency.mean > 0
 
@@ -83,20 +85,20 @@ class TestTranslationFlow:
 class TestIdealMmu:
     def test_zero_translation_latency(self):
         mmu = make_mmu(ideal=True)
-        outcome = mmu.translate(0.0, 0x9999_0000)
-        assert outcome.latency == 0.0
-        assert outcome.tlb_hit
-        assert not outcome.walked
+        _, latency, _, tlb_hit, walked = \
+            mmu.translate_parts(0.0, 0x9999_0000)
+        assert latency == 0.0
+        assert tlb_hit
+        assert not walked
 
     def test_faults_still_charged(self):
         """Demand paging exists in every mechanism, including Ideal, so
         end-to-end comparisons stay apples-to-apples."""
         mmu = make_mmu(ideal=True)
-        outcome = mmu.translate(0.0, 0x9999_0000)
-        assert outcome.fault_cycles > 0
-        assert mmu.translate(1.0, 0x9999_0000).fault_cycles == 0
+        assert mmu.translate_parts(0.0, 0x9999_0000)[2] > 0
+        assert mmu.translate_parts(1.0, 0x9999_0000)[2] == 0
 
     def test_paddr_still_valid(self):
         mmu = make_mmu(ideal=True)
-        outcome = mmu.translate(0.0, 0x9999_0123)
-        assert outcome.paddr % 4096 == 0x123
+        paddr = mmu.translate_parts(0.0, 0x9999_0123)[0]
+        assert paddr % 4096 == 0x123

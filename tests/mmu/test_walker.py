@@ -16,6 +16,26 @@ from repro.vm.radix import RadixPageTable
 MIB = 1024 ** 2
 
 
+def walk(walker, now, page):
+    """Walk ``page`` through the plan entry point.
+
+    Returns ``(latency, memory_accesses, pwc_hit_level)``: the access
+    count is the walk's delta of ``stats.memory_accesses`` and the hit
+    level is the deepest PWC level whose hit count moved (None when no
+    level hit).
+    """
+    caches = walker.pwcs.caches() if walker.pwcs is not None else {}
+    hits_before = {level: c.stats.hits for level, c in caches.items()}
+    accesses_before = walker.stats.memory_accesses
+    latency = walker.walk_from_plan(now, *walker.plan_info(page)[:2])
+    hit_level = None
+    for level, cache in caches.items():
+        if cache.stats.hits > hits_before[level]:
+            hit_level = level
+    return (latency, walker.stats.memory_accesses - accesses_before,
+            hit_level)
+
+
 @pytest.fixture
 def hierarchy():
     return build_ndp_hierarchy(1, HBM2)
@@ -33,29 +53,29 @@ class TestSequentialWalk:
     def test_four_memory_accesses_without_pwc(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        outcome = walker.walk(0.0, 0x12345)
-        assert outcome.memory_accesses == 4
-        assert outcome.pwc_hit_level is None
+        _, accesses, hit_level = walk(walker, 0.0, 0x12345)
+        assert accesses == 4
+        assert hit_level is None
 
     def test_walk_latency_accumulates_sequentially(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        outcome = walker.walk(0.0, 0x12345)
+        latency, _, _ = walk(walker, 0.0, 0x12345)
         # Four sequential accesses, each at least an L1 lookup.
-        assert outcome.latency >= 4 * hierarchy.l1ds[0].hit_latency
+        assert latency >= 4 * hierarchy.l1ds[0].hit_latency
 
     def test_stats_recorded(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        walker.walk(0.0, 0x12345)
-        walker.walk(1000.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
+        walk(walker, 1000.0, 0x12345)
         assert walker.stats.walks == 2
         assert walker.stats.latency.count == 2
 
     def test_metadata_kind_used(self, radix_setup):
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        walker.walk(0.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
         assert hierarchy.l1ds[0].stats.metadata.accesses == 4
         assert hierarchy.l1ds[0].stats.data.accesses == 0
 
@@ -65,36 +85,36 @@ class TestPwcSkipping:
         table, hierarchy = radix_setup
         pwcs = PwcSet(("PL4", "PL3", "PL2", "PL1"))
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
-        first = walker.walk(0.0, 0x12345)
-        second = walker.walk(10_000.0, 0x12345)
-        assert first.memory_accesses == 4
-        assert second.memory_accesses == 0  # PL1 PWC hit: full skip
-        assert second.pwc_hit_level == "PL1"
+        _, first_accesses, _ = walk(walker, 0.0, 0x12345)
+        _, second_accesses, hit_level = walk(walker, 10_000.0, 0x12345)
+        assert first_accesses == 4
+        assert second_accesses == 0  # PL1 PWC hit: full skip
+        assert hit_level == "PL1"
 
     def test_partial_skip_resumes_below_hit(self, radix_setup):
         table, hierarchy = radix_setup
         table.map_page(0x12345 + 1, pfn=6)  # same PL2 prefix
         pwcs = PwcSet(("PL4", "PL3", "PL2", "PL1"))
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
-        walker.walk(0.0, 0x12345)
-        outcome = walker.walk(10_000.0, 0x12345 + 1)
-        assert outcome.pwc_hit_level == "PL2"
-        assert outcome.memory_accesses == 1  # only PL1 fetched
+        walk(walker, 0.0, 0x12345)
+        _, accesses, hit_level = walk(walker, 10_000.0, 0x12345 + 1)
+        assert hit_level == "PL2"
+        assert accesses == 1  # only PL1 fetched
 
     def test_pwc_levels_restricted(self, radix_setup):
         table, hierarchy = radix_setup
         pwcs = PwcSet(("PL4", "PL3"))  # no PL2/PL1 caches
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
-        walker.walk(0.0, 0x12345)
-        outcome = walker.walk(10_000.0, 0x12345)
-        assert outcome.memory_accesses == 2  # PL2 and PL1 every time
+        walk(walker, 0.0, 0x12345)
+        _, accesses, _ = walk(walker, 10_000.0, 0x12345)
+        assert accesses == 2  # PL2 and PL1 every time
 
     def test_pwc_hit_rates_observable(self, radix_setup):
         table, hierarchy = radix_setup
         pwcs = PwcSet(("PL4", "PL3", "PL2", "PL1"))
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
-        walker.walk(0.0, 0x12345)
-        walker.walk(10_000.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
+        walk(walker, 10_000.0, 0x12345)
         assert pwcs.hit_rates()["PL1"] == 0.5
 
 
@@ -103,7 +123,7 @@ class TestBypass:
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0,
                                  bypass=MetadataBypass())
-        walker.walk(0.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
         assert hierarchy.l1ds[0].stats.metadata.accesses == 0
         assert hierarchy.stats.l1_bypasses == 4
 
@@ -111,7 +131,7 @@ class TestBypass:
         table, hierarchy = radix_setup
         walker = PageTableWalker(table, hierarchy, core_id=0,
                                  bypass=NoBypass())
-        walker.walk(0.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
         counts = hierarchy.l1ds[0].resident_kind_counts()
         assert counts[RequestKind.METADATA] == 4
 
@@ -120,7 +140,7 @@ class TestBypass:
         walker = PageTableWalker(
             table, hierarchy, core_id=0,
             bypass=MetadataBypass(levels=("PL1",)))
-        walker.walk(0.0, 0x12345)
+        walk(walker, 0.0, 0x12345)
         assert hierarchy.stats.l1_bypasses == 1
 
 
@@ -130,21 +150,21 @@ class TestParallelStages:
         table = ElasticCuckooPageTable(allocator, initial_entries=1 << 10)
         table.map_page(7, pfn=1)
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        outcome = walker.walk(0.0, 7)
-        assert outcome.memory_accesses == 2
+        _, accesses, _ = walk(walker, 0.0, 7)
+        assert accesses == 2
 
     def test_parallel_latency_is_max_not_sum(self, hierarchy):
         allocator = FrameAllocator(256 * MIB)
         table = ElasticCuckooPageTable(allocator, initial_entries=1 << 10)
         table.map_page(7, pfn=1)
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        parallel = walker.walk(0.0, 7).latency
+        parallel, _, _ = walk(walker, 0.0, 7)
 
         radix = RadixPageTable(FrameAllocator(64 * MIB))
         radix.map_page(7, pfn=1)
         seq_hierarchy = build_ndp_hierarchy(1, HBM2)
-        seq = PageTableWalker(radix, seq_hierarchy, core_id=0) \
-            .walk(0.0, 7).latency
+        seq, _, _ = walk(
+            PageTableWalker(radix, seq_hierarchy, core_id=0), 0.0, 7)
         # 2 parallel probes must be well under 4 sequential accesses.
         assert parallel < seq
 
@@ -152,6 +172,6 @@ class TestParallelStages:
         table = IdealPageTable()
         table.map_page(3, pfn=1)
         walker = PageTableWalker(table, hierarchy, core_id=0)
-        outcome = walker.walk(0.0, 3)
-        assert outcome.latency == 0.0
-        assert outcome.memory_accesses == 0
+        latency, accesses, _ = walk(walker, 0.0, 3)
+        assert latency == 0.0
+        assert accesses == 0

@@ -1,5 +1,6 @@
 """Tests for the core timing model (MLP window, accounting)."""
 
+import numpy as np
 import pytest
 
 from repro.mem.dram import HBM2
@@ -11,6 +12,7 @@ from repro.sim.core_model import Core
 from repro.vm.frames import FrameAllocator
 from repro.vm.ideal import IdealPageTable
 from repro.vm.os_model import OSMemoryManager
+from repro.workloads.base import chunk_probe_keys
 
 MIB = 1024 ** 2
 
@@ -25,7 +27,11 @@ def make_core(stream, mlp=2, gap=1):
     hierarchy = build_ndp_hierarchy(1, HBM2)
     walker = PageTableWalker(table, hierarchy, core_id=0)
     mmu = Mmu(0, build_table1_tlbs(), walker, os_model, ideal=True)
-    return Core(0, mmu, hierarchy, iter(stream), gap_cycles=gap, mlp=mlp)
+    addrs = [vaddr for vaddr, _ in stream]
+    writes = [is_write for _, is_write in stream]
+    vpns, vlines = chunk_probe_keys(np.asarray(addrs, dtype=np.int64))
+    chunks = iter([(addrs, writes, vpns, vlines)])
+    return Core(0, mmu, hierarchy, chunks, gap_cycles=gap, mlp=mlp)
 
 
 class TestStepping:

@@ -14,7 +14,6 @@ import os
 import signal
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -43,7 +42,6 @@ from repro.sim.runner import run_once
 from repro.sim.sweep import (
     SweepFailure,
     SweepInterrupted,
-    SweepRunner,
     expand_grid,
 )
 
@@ -171,14 +169,15 @@ class TestSerialFaultTolerance:
     def test_keep_going_leaves_hole_and_manifest(self):
         configs = tiny_grid()
         bad = cell_label(configs[1])
-        runner = SweepRunner(jobs=1, strict=False, retries=1,
-                             backoff=0.0,
-                             fault_plan=f"fail:{bad}:*")
-        results = runner.run(configs)
+        service = SweepService(
+            jobs=1,
+            policy=SweepPolicy(strict=False, retries=1, backoff=0.0,
+                               fault_plan=f"fail:{bad}:*"))
+        results = service.run(configs)
         assert results[1] is None
         assert all(r is not None
                    for i, r in enumerate(results) if i != 1)
-        stats = runner.last_stats
+        stats = service.last_stats
         assert stats.failed == 1
         assert stats.retries == 1          # 2 attempts = 1 retry
         assert stats.manifest.labels() == [bad]
@@ -193,11 +192,12 @@ class TestSerialFaultTolerance:
         configs = tiny_grid()
         bad = cell_label(configs[0])
         cache = ResultCache(tmp_path)
-        runner = SweepRunner(jobs=1, cache=cache, strict=True,
-                             retries=0, backoff=0.0,
-                             fault_plan=f"fail:{bad}:*")
+        service = SweepService(
+            jobs=1, cache=cache,
+            policy=SweepPolicy(strict=True, retries=0, backoff=0.0,
+                               fault_plan=f"fail:{bad}:*"))
         with pytest.raises(SweepFailure) as excinfo:
-            runner.run(configs)
+            service.run(configs)
         assert excinfo.value.manifest.labels() == [bad]
         # Every healthy cell was still completed and persisted.
         assert len(cache) == len(configs) - 1
@@ -205,33 +205,37 @@ class TestSerialFaultTolerance:
     def test_retry_recovers_flaky_cell(self):
         configs = tiny_grid()
         flaky = cell_label(configs[2])
-        runner = SweepRunner(jobs=1, retries=1, backoff=0.0,
-                             fault_plan=f"fail:{flaky}:1")
-        results = runner.run(configs)
+        service = SweepService(
+            jobs=1,
+            policy=SweepPolicy(retries=1, backoff=0.0,
+                               fault_plan=f"fail:{flaky}:1"))
+        results = service.run(configs)
         assert all(r is not None for r in results)
-        assert runner.last_stats.retries == 1
-        assert not runner.last_stats.manifest
+        assert service.last_stats.retries == 1
+        assert not service.last_stats.manifest
         # The recovered result is bit-identical to a clean run.
         assert fields(results[2]) == fields(run_once(configs[2]))
 
     def test_retries_zero_means_one_attempt(self):
         configs = tiny_grid()
-        runner = SweepRunner(jobs=1, strict=False, retries=0,
-                             backoff=0.0,
-                             fault_plan=f"fail:{cell_label(configs[0])}:1")
-        results = runner.run(configs)
+        service = SweepService(
+            jobs=1,
+            policy=SweepPolicy(strict=False, retries=0, backoff=0.0,
+                               fault_plan=f"fail:{cell_label(configs[0])}:1"))
+        results = service.run(configs)
         assert results[0] is None
-        assert runner.last_stats.manifest.failures[0].attempts == 1
+        assert service.last_stats.manifest.failures[0].attempts == 1
 
     def test_plan_from_environment(self, monkeypatch):
         configs = tiny_grid()
         monkeypatch.setenv(FAULT_PLAN_ENV,
                            f"fail:{cell_label(configs[0])}:*")
-        runner = SweepRunner(jobs=1, strict=False, retries=0,
-                             backoff=0.0)
-        results = runner.run(configs)
+        service = SweepService(
+            jobs=1,
+            policy=SweepPolicy(strict=False, retries=0, backoff=0.0))
+        results = service.run(configs)
         assert results[0] is None
-        assert runner.last_stats.failed == 1
+        assert service.last_stats.failed == 1
 
 
 class TestSupervisedFaultTolerance:
@@ -240,11 +244,13 @@ class TestSupervisedFaultTolerance:
         worker is respawned, the cell re-dispatched and completed."""
         configs = tiny_grid()
         victim = cell_label(configs[1])
-        runner = SweepRunner(jobs=2, retries=1, backoff=0.01,
-                             fault_plan=f"kill:{victim}:1")
-        results = runner.run(configs)
+        service = SweepService(
+            jobs=2,
+            policy=SweepPolicy(retries=1, backoff=0.01,
+                               fault_plan=f"kill:{victim}:1"))
+        results = service.run(configs)
         assert all(r is not None for r in results)
-        stats = runner.last_stats
+        stats = service.last_stats
         assert stats.worker_deaths >= 1
         assert stats.retries >= 1
         assert not stats.manifest
@@ -253,13 +259,14 @@ class TestSupervisedFaultTolerance:
     def test_worker_kill_exhausts_retries_into_manifest(self):
         configs = tiny_grid()
         victim = cell_label(configs[0])
-        runner = SweepRunner(jobs=2, strict=False, retries=1,
-                             backoff=0.01,
-                             fault_plan=f"kill:{victim}:*")
-        results = runner.run(configs)
+        service = SweepService(
+            jobs=2,
+            policy=SweepPolicy(strict=False, retries=1, backoff=0.01,
+                               fault_plan=f"kill:{victim}:*"))
+        results = service.run(configs)
         assert results[0] is None
         assert all(r is not None for r in results[1:])
-        failure = runner.last_stats.manifest.failures[0]
+        failure = service.last_stats.manifest.failures[0]
         assert failure.kind == "worker-died"
         assert failure.attempts == 2
         assert "worker died" in failure.error
@@ -267,14 +274,15 @@ class TestSupervisedFaultTolerance:
     def test_hung_cell_trips_timeout(self):
         configs = tiny_grid()
         wedged = cell_label(configs[1])
-        runner = SweepRunner(jobs=2, strict=False, retries=0,
-                             cell_timeout=1.0, backoff=0.01,
-                             fault_plan=f"hang:{wedged}:*:30")
-        results = runner.run(configs)
+        service = SweepService(
+            jobs=2,
+            policy=SweepPolicy(strict=False, retries=0, cell_timeout=1.0,
+                               backoff=0.01, fault_plan=f"hang:{wedged}:*:30"))
+        results = service.run(configs)
         assert results[1] is None
         assert all(r is not None
                    for i, r in enumerate(results) if i != 1)
-        stats = runner.last_stats
+        stats = service.last_stats
         assert stats.timeouts == 1
         failure = stats.manifest.failures[0]
         assert failure.kind == "timeout"
@@ -283,12 +291,13 @@ class TestSupervisedFaultTolerance:
     def test_failing_cell_in_pool_quarantined(self):
         configs = tiny_grid()
         bad = cell_label(configs[3])
-        runner = SweepRunner(jobs=2, strict=False, retries=1,
-                             backoff=0.01,
-                             fault_plan=f"fail:{bad}:*")
-        results = runner.run(configs)
+        service = SweepService(
+            jobs=2,
+            policy=SweepPolicy(strict=False, retries=1, backoff=0.01,
+                               fault_plan=f"fail:{bad}:*"))
+        results = service.run(configs)
         assert results[3] is None
-        failure = runner.last_stats.manifest.failures[0]
+        failure = service.last_stats.manifest.failures[0]
         assert failure.kind == "error"
         assert "InjectedFault" in failure.error
 
@@ -297,14 +306,15 @@ class TestSupervisedFaultTolerance:
         the cache, and a clean re-run simulates only the casualty."""
         configs = tiny_grid()
         victim = cell_label(configs[2])
-        first = SweepRunner(jobs=2, cache_dir=tmp_path, strict=False,
-                            retries=1, backoff=0.01,
-                            fault_plan=f"kill:{victim}:*")
+        first = SweepService(
+            jobs=2, cache_dir=tmp_path,
+            policy=SweepPolicy(strict=False, retries=1, backoff=0.01,
+                               fault_plan=f"kill:{victim}:*"))
         results = first.run(configs)
         assert results[2] is None
         assert first.last_stats.failed == 1
 
-        second = SweepRunner(jobs=1, cache_dir=tmp_path)
+        second = SweepService(jobs=1, cache_dir=tmp_path)
         resumed = second.run(configs)
         assert all(r is not None for r in resumed)
         assert second.last_stats.simulated == 1
@@ -313,9 +323,9 @@ class TestSupervisedFaultTolerance:
 
     def test_unpicklable_run_fn_fails_fast(self):
         configs = tiny_grid()
-        runner = SweepRunner(jobs=2)
+        service = SweepService(jobs=2)
         with pytest.raises(ValueError, match="not picklable"):
-            runner.run(configs, run_fn=lambda config: run_once(config))
+            service.run(configs, run_fn=lambda config: run_once(config))
 
 
 class TestCorruptionThroughSweep:
@@ -326,14 +336,14 @@ class TestCorruptionThroughSweep:
         target = cell_label(configs[0])
         plan = FaultPlan.parse(f"corrupt:{target}")
         cache = ResultCache(tmp_path, fault_plan=plan)
-        SweepRunner(jobs=1, cache=cache).run(configs)
+        SweepService(jobs=1, cache=cache).run(configs)
 
         clean_cache = ResultCache(tmp_path)
-        runner = SweepRunner(jobs=1, cache=clean_cache)
-        results = runner.run(configs)
+        service = SweepService(jobs=1, cache=clean_cache)
+        results = service.run(configs)
         assert clean_cache.stats.corrupt == 1
-        assert runner.last_stats.simulated == 1
-        assert runner.last_stats.cache_hits == len(configs) - 1
+        assert service.last_stats.simulated == 1
+        assert service.last_stats.cache_hits == len(configs) - 1
         # The re-simulated result is the real one, not the corrupted.
         assert fields(results[0]) == fields(run_once(configs[0]))
 
@@ -362,9 +372,10 @@ class TestAcceptance20Cells:
             f"kill:{killed}:1;corrupt:{corrupted}")
 
         cache = ResultCache(tmp_path, fault_plan=plan)
-        chaos = SweepRunner(jobs=2, cache=cache, strict=False,
-                            retries=1, cell_timeout=1.0, backoff=0.01,
-                            fault_plan=plan)
+        chaos = SweepService(
+            jobs=2, cache=cache,
+            policy=SweepPolicy(strict=False, retries=1, cell_timeout=1.0,
+                               backoff=0.01, fault_plan=plan))
         results = chaos.run(configs)
 
         stats = chaos.last_stats
@@ -380,7 +391,7 @@ class TestAcceptance20Cells:
         # Follow-up run, no faults: exactly the 2 quarantined cells
         # plus the 1 corrupt entry are re-simulated, nothing else.
         resume_cache = ResultCache(tmp_path)
-        resume = SweepRunner(jobs=1, cache=resume_cache)
+        resume = SweepService(jobs=1, cache=resume_cache)
         resumed = resume.run(configs)
         assert all(r is not None for r in resumed)
         assert resume.last_stats.simulated == 3
@@ -388,7 +399,7 @@ class TestAcceptance20Cells:
         assert resume_cache.stats.corrupt == 1
 
         # Third run: fully cache-served and bit-identical to clean.
-        third = SweepRunner(jobs=1, cache_dir=tmp_path)
+        third = SweepService(jobs=1, cache_dir=tmp_path)
         final = third.run(configs)
         assert third.last_stats.simulated == 0
         for config, result in zip(configs, final):

@@ -12,10 +12,10 @@ import dataclasses
 import pytest
 
 from repro.mmu.tlb import build_table1_tlbs
+from repro.service import SweepService
 from repro.sim.config import SchedulerParams, ndp_config
 from repro.sim.runner import run_once
 from repro.sim.scheduler import TenantCoordinator, tenant_seed
-from repro.sim.sweep import SweepRunner
 from repro.vm.address import asid_tag
 from repro.vm.base import Translation
 from repro.vm.frames import FrameAllocator, OutOfMemoryError
@@ -99,8 +99,8 @@ class TestMultiTenantGolden:
     def test_deterministic_across_worker_counts(self):
         """Same cells through the pool = serial, field for field."""
         configs = [mt_config(m) for m in ("radix", "ndpage")]
-        serial = SweepRunner(jobs=1).run(configs)
-        pooled = SweepRunner(jobs=2).run(configs)
+        serial = SweepService(jobs=1).run(configs)
+        pooled = SweepService(jobs=2).run(configs)
         for a, b in zip(serial, pooled):
             assert result_fields(a) == result_fields(b)
 
@@ -154,8 +154,8 @@ class TestSchedulerRunAhead:
         """Multi-slot scheduled cells through the pool = serial."""
         configs = [mt_config(m, num_cores=2, refs_per_core=1000)
                    for m in ("radix", "ndpage")]
-        serial = SweepRunner(jobs=1).run(configs)
-        pooled = SweepRunner(jobs=2).run(configs)
+        serial = SweepService(jobs=1).run(configs)
+        pooled = SweepService(jobs=2).run(configs)
         for a, b in zip(serial, pooled):
             assert result_fields(a) == result_fields(b)
 

@@ -13,9 +13,9 @@ import pytest
 from repro.mem.dram import HBM2
 from repro.mem.hierarchy import build_ndp_hierarchy
 from repro.mem.request import KIND_DATA
+from repro.service import SweepService
 from repro.sim.config import NumaParams, ndp_config
 from repro.sim.runner import run_once
-from repro.sim.sweep import SweepRunner
 from repro.sim.topology import NumaFrameAllocator, NumaTopology
 from repro.vm.address import (
     NODE_FRAME_MASK,
@@ -383,8 +383,8 @@ class TestNumaGolden:
         """2-node cells through the pool = serial, field for field."""
         configs = [numa_golden_config(m, p)
                    for m, p in sorted(NUMA_GOLDEN)]
-        serial = SweepRunner(jobs=1).run(configs)
-        pooled = SweepRunner(jobs=2).run(configs)
+        serial = SweepService(jobs=1).run(configs)
+        pooled = SweepService(jobs=2).run(configs)
         for a, b in zip(serial, pooled):
             fields_a = dataclasses.asdict(a)
             fields_b = dataclasses.asdict(b)

@@ -2,12 +2,11 @@
 
 Everything above the simulator talks to sweeps through this surface:
 ``submit``/``gather`` handle resolution, ``run_grid`` grids under an
-explicit :class:`SweepPolicy`, and the deprecation shims that keep the
-old :class:`SweepRunner` call sites working (warning included).
+explicit :class:`SweepPolicy`, and the figure drivers' ``runner=``
+seam.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -24,7 +23,7 @@ from repro.service import (
 )
 from repro.sim.faults import FAULT_PLAN_ENV, cell_label, reset_fired
 from repro.sim.runner import run_once
-from repro.sim.sweep import SweepRunner, expand_grid, run_sweep
+from repro.sim.sweep import expand_grid
 
 TINY = dict(refs_per_core=300, scale=1 / 64, seed=7)
 
@@ -201,43 +200,3 @@ class TestRunGrid:
             1, workloads=("rnd",), refs_per_core=300, scale=1 / 64,
             runner=SweepService(backend="serial"))[0]
         assert "rnd" in table
-
-
-class TestDeprecationShims:
-    def test_sweep_runner_warns_and_matches_service(self):
-        configs = tiny_grid()
-        with pytest.warns(DeprecationWarning,
-                          match="SweepRunner is deprecated"):
-            runner = SweepRunner(jobs=1)
-        legacy = runner.run(configs)
-        fresh = SweepService(backend="serial").run(configs)
-        assert [fields(r) for r in legacy] \
-            == [fields(r) for r in fresh]
-        assert runner.last_stats.simulated == len(configs)
-
-    def test_sweep_runner_keeps_kwarg_surface(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            runner = SweepRunner(jobs=2, cache_dir=tmp_path,
-                                 chunk_size=8, retries=2,
-                                 cell_timeout=60.0, backoff=0.1,
-                                 strict=False)
-        assert runner.jobs == 2
-        assert runner.chunk_size == 8
-        assert runner.retries == 2
-        assert runner.cell_timeout == 60.0
-        assert runner.strict is False
-        assert runner.cache is not None
-
-    def test_run_sweep_warns_and_matches(self):
-        configs = tiny_grid()
-        with pytest.warns(DeprecationWarning,
-                          match="run_sweep is deprecated"):
-            legacy = run_sweep(configs, jobs=1)
-        fresh = SweepService(backend="serial").run(configs)
-        assert [fields(r) for r in legacy] \
-            == [fields(r) for r in fresh]
-
-    def test_service_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SweepService(backend="serial").run(tiny_grid()[:1])
