@@ -165,8 +165,7 @@ class System:
             ]
         buffers: List[List[int]] = [[] for _ in range(cfg.num_cores)]
         positions = [0] * cfg.num_cores
-        ensure_mapped = self.os.ensure_mapped
-        os_stats = self.os.stats
+        fault_in = self.os.fault_in
         # Repeat touches of an already-faulted page are no-ops, so they
         # can be skipped via a seen-set — *until* the first reclaim:
         # once the OS starts evicting, a previously mapped page may need
@@ -189,28 +188,12 @@ class System:
                             break
                         addrs = buffers[core_id] = nxt[0]
                         pos = 0
-                    stop = pos + quota
-                    if stop > len(addrs):
-                        stop = len(addrs)
-                    if seen is not None:
-                        index = pos
-                        while index < stop:
-                            vaddr = addrs[index]
-                            index += 1
-                            page = vaddr >> PAGE_SHIFT
-                            if page in seen:
-                                continue
-                            ensure_mapped(vaddr, site=core_id)
-                            seen.add(page)
-                            if os_stats.reclaims:
-                                seen = None  # pressure: exact from here
-                                break
-                        if seen is None:
-                            for vaddr in addrs[index:stop]:
-                                ensure_mapped(vaddr, site=core_id)
-                    else:
-                        for vaddr in addrs[pos:stop]:
-                            ensure_mapped(vaddr, site=core_id)
+                    stop = min(pos + quota, len(addrs))
+                    batch = addrs[pos:stop]
+                    done = fault_in(batch, core_id, seen)
+                    if done < len(batch):
+                        seen = None  # pressure: exact from here
+                        fault_in(batch[done:], core_id)
                     quota -= stop - pos
                     pos = stop
                 positions[core_id] = pos
@@ -297,8 +280,21 @@ class System:
         self.cores.append(core)
 
     def run(self) -> float:
-        """Execute all cores to completion; return global cycles."""
-        return self.engine.run()
+        """Execute all cores to completion; return global cycles.
+
+        Each core's chunk coroutine parks forever at its final yield
+        holding the core, a reference cycle that would keep the whole
+        machine (caches, tables, replay chunks) alive until the cyclic
+        collector runs.  Closing the coroutines lets refcounting free a
+        finished System as soon as its last reference goes.
+        """
+        try:
+            return self.engine.run()
+        finally:
+            for core in self.cores:
+                if core._runner is not None:
+                    core._runner.close()
+                    core._runner = None
 
     # -- multi-tenant assembly ---------------------------------------
 
@@ -485,7 +481,7 @@ class System:
             still_active = []
             for tenant, slot in active:
                 pair = (tenant.asid, slot)
-                ensure_mapped = tenant.os.ensure_mapped
+                fault_in = tenant.os.fault_in
                 addrs = buffers[pair]
                 pos = positions[pair]
                 quota = 256
@@ -499,19 +495,12 @@ class System:
                         addrs = buffers[pair] = nxt[0]
                         pos = 0
                     stop = min(pos + quota, len(addrs))
-                    pair_seen = None if seen is None else seen[pair]
-                    for vaddr in addrs[pos:stop]:
-                        if pair_seen is not None:
-                            page = vaddr >> PAGE_SHIFT
-                            if page in pair_seen:
-                                continue
-                            pair_seen.add(page)
-                        cost = ensure_mapped(vaddr, site=slot)
-                        if (cost and seen is not None
-                                and any(t.os.stats.reclaims
-                                        for t in tenants)):
-                            seen = None
-                            pair_seen = None
+                    batch = addrs[pos:stop]
+                    done = fault_in(batch, slot,
+                                    None if seen is None else seen[pair])
+                    if done < len(batch):
+                        seen = None
+                        fault_in(batch[done:], slot)
                     quota -= stop - pos
                     pos = stop
                 positions[pair] = pos

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from functools import lru_cache
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.vm.address import HUGE_PAGE_SIZE, PAGE_SIZE
 
@@ -40,22 +41,44 @@ class AllocatorStats:
 
 
 class _PartialBlock:
-    """A 2 MB block being carved into 4 KB frames for one site."""
+    """A 2 MB block being carved into 4 KB frames for one site.
 
-    __slots__ = ("first_frame", "next_offset")
+    ``pinned`` marks a boot-fragmented block: its first half is held
+    by unmovable boot allocations, so compaction must leave it alone.
+    """
 
-    def __init__(self, first_frame: int):
+    __slots__ = ("first_frame", "next_offset", "pinned")
+
+    def __init__(self, first_frame: int, pinned: bool = False):
         self.first_frame = first_frame
-        self.next_offset = 0
+        self.pinned = pinned
+        # Boot noise fills the first half of a fragmented block.
+        self.next_offset = FRAMES_PER_BLOCK // 2 if pinned else 0
 
     @property
     def exhausted(self) -> bool:
         return self.next_offset >= FRAMES_PER_BLOCK
 
-    def take(self) -> int:
-        frame = self.first_frame + self.next_offset
-        self.next_offset += 1
-        return frame
+
+@lru_cache(maxsize=64)
+def _boot_layout(reserved_blocks: int, num_blocks: int,
+                 fragmentation: float
+                 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Whole free and boot-fragmented block numbers, in boot order.
+
+    Fragmented blocks are evenly interleaved at the requested rate.
+    The layout depends only on the arguments, so every allocator of
+    one machine shape (every cell of a sweep, every NUMA node pool)
+    shares one computation.
+    """
+    free = []
+    fragmented = []
+    for i, block in enumerate(range(reserved_blocks, num_blocks)):
+        if int(i * fragmentation) < int((i + 1) * fragmentation):
+            fragmented.append(block)
+        else:
+            free.append(block)
+    return tuple(free), tuple(fragmented)
 
 
 class FrameAllocator:
@@ -94,17 +117,14 @@ class FrameAllocator:
         reserved_blocks = -(-reserved_bytes // HUGE_PAGE_SIZE)
         if reserved_blocks >= self.num_blocks:
             raise ValueError("reservation swallows all physical memory")
-        usable = range(reserved_blocks, self.num_blocks)
-        self._free_blocks: Deque[int] = deque()
-        self._fragmented: Deque[_PartialBlock] = deque()
-        for i, block in enumerate(usable):
-            # Evenly interleave fragmented blocks at the requested rate.
-            if int(i * fragmentation) < int((i + 1) * fragmentation):
-                partial = _PartialBlock(block * FRAMES_PER_BLOCK)
-                partial.next_offset = FRAMES_PER_BLOCK // 2  # boot noise
-                self._fragmented.append(partial)
-            else:
-                self._free_blocks.append(block)
+        free, fragmented = _boot_layout(
+            reserved_blocks, self.num_blocks, fragmentation)
+        self._free_blocks: Deque[int] = deque(free)
+        # Boot-fragmented blocks not yet opened, as block numbers; the
+        # one small allocations currently carve from is ``_frag_head``
+        # (built on first use: most runs never reach most of them).
+        self._fragmented: Deque[int] = deque(fragmented)
+        self._frag_head: Optional[_PartialBlock] = None
         self._partials: Dict[int, _PartialBlock] = {}
         self._free_frames: Deque[int] = deque()  # frames returned by free()
         self.stats = AllocatorStats()
@@ -121,8 +141,14 @@ class FrameAllocator:
         """Total free 4 KB frames, contiguous or not."""
         partial = sum(FRAMES_PER_BLOCK - p.next_offset
                       for p in self._partials.values())
-        fragmented = sum(FRAMES_PER_BLOCK - p.next_offset
-                         for p in self._fragmented)
+        # The open fragmented block is counted here *and* in
+        # ``_partials`` above: a known double count, kept because
+        # ``frame_pressure`` results depend on it.
+        fragmented = len(self._fragmented) * (
+            FRAMES_PER_BLOCK - FRAMES_PER_BLOCK // 2)
+        head = self._frag_head
+        if head is not None:
+            fragmented += FRAMES_PER_BLOCK - head.next_offset
         return (len(self._free_blocks) * FRAMES_PER_BLOCK
                 + partial + fragmented + len(self._free_frames))
 
@@ -157,12 +183,8 @@ class FrameAllocator:
         allocations and excluded.
         """
         partial = sum(FRAMES_PER_BLOCK - p.next_offset
-                      for site, p in self._partials.items()
-                      if not self._is_fragmented(p))
+                      for p in self._partials.values() if not p.pinned)
         return partial + len(self._free_frames)
-
-    def _is_fragmented(self, partial: _PartialBlock) -> bool:
-        return any(p is partial for p in self._fragmented)
 
     # -- allocation -----------------------------------------------------------
 
@@ -178,20 +200,26 @@ class FrameAllocator:
             self.stats.small_allocs += 1
             return self._free_frames.popleft()
         partial = self._partials.get(site)
-        if partial is None or partial.exhausted:
+        if partial is None or partial.next_offset >= FRAMES_PER_BLOCK:
             partial = self._open_block(site)
         self.stats.small_allocs += 1
-        return partial.take()
+        # Bump-allocate (inlined: this runs on every 4 KB allocation).
+        offset = partial.next_offset
+        partial.next_offset = offset + 1
+        return partial.first_frame + offset
 
     def _open_block(self, site: int) -> _PartialBlock:
         # Prefer boot-fragmented blocks for small allocations: their
         # contiguity is already lost, so spending them preserves whole
         # blocks for 2 MB requests (Linux's grouping-by-mobility).
-        while self._fragmented:
-            partial = self._fragmented[0]
-            if partial.exhausted:
-                self._fragmented.popleft()
-                continue
+        partial = self._frag_head
+        if partial is None or partial.exhausted:
+            partial = self._frag_head = None
+            if self._fragmented:
+                block = self._fragmented.popleft()
+                partial = self._frag_head = _PartialBlock(
+                    block * FRAMES_PER_BLOCK, pinned=True)
+        if partial is not None:
             self._partials[site] = partial
             return partial
         if not self._free_blocks:
@@ -265,7 +293,7 @@ class FrameAllocator:
             if drained >= blocks * FRAMES_PER_BLOCK:
                 break
             partial = self._partials[site]
-            if self._is_fragmented(partial):
+            if partial.pinned:
                 continue  # pinned by unmovable boot allocations
             room = FRAMES_PER_BLOCK - partial.next_offset
             take = min(room, blocks * FRAMES_PER_BLOCK - drained)

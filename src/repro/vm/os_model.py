@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Tuple
+from typing import Deque, Iterable, Optional, Set
 
 from repro.vm.address import (
     ENTRIES_PER_NODE,
@@ -70,7 +70,7 @@ class OsStats:
     regions_fallen_back: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _FrameRecord:
     page: int
     frame: int
@@ -128,6 +128,8 @@ class OSMemoryManager:
         self._lru_frames: Deque[_FrameRecord] = deque()
         self._is_ech = isinstance(page_table, ElasticCuckooPageTable)
         self._last_rehashed = self._rehashed_entries()
+        # Reclaims this manager's own faults forced (see fault_in).
+        self._fault_reclaims = 0
 
     # -- helpers -------------------------------------------------------------
 
@@ -178,16 +180,75 @@ class OSMemoryManager:
         """Map the page backing ``vaddr`` if needed; return fault cycles."""
         return self.ensure_translated(vaddr, site)[1]
 
+    def fault_in(self, vaddrs: Iterable[int], site: int = 0,
+                 seen: Optional[Set[int]] = None) -> int:
+        """Fault in the pages behind ``vaddrs``, in order.
+
+        The batched form of :meth:`ensure_mapped` for the untimed
+        warmup: the same faults, allocations and per-fault charges
+        (ECH rehash, ``extra_fault_cycles``) as one call per address,
+        without the per-address call chain or a second lookup.
+
+        ``seen`` holds pages the caller knows are mapped: their
+        addresses are skipped without a lookup, and every other page
+        is added once handled.  A reclaim may unmap any page, so with
+        ``seen`` given the batch stops right after the first fault
+        that had to reclaim memory.  Returns the number of addresses
+        consumed: all of them, or fewer when a reclaim stopped it.
+        """
+        lookup = self.page_table.lookup
+        if self.policy is PagingPolicy.HUGE and self._supports_huge():
+            fault = self._fault_huge
+        else:
+            fault = self._fault_small
+        is_ech = self._is_ech
+        extra = self._extra_fault_cycles
+        stats = self.stats
+        reclaims = self._fault_reclaims
+        if self._note_fault_site is not None:
+            self._note_fault_site(site)
+        consumed = 0
+        for vaddr in vaddrs:
+            consumed += 1
+            page = (vaddr & VA_MASK) >> PAGE_SHIFT
+            if seen is not None:
+                if page in seen:
+                    continue
+                seen.add(page)
+            if lookup(page) is not None:
+                continue
+            cycles = fault(page, site)
+            if is_ech:
+                cycles += self._charge_rehash()
+            if extra is not None:
+                cycles += extra()
+            stats.fault_cycles += cycles
+            if seen is not None and self._fault_reclaims != reclaims:
+                break
+        return consumed
+
     def _supports_huge(self) -> bool:
         # Only the radix tree stores 2 MB leaves; other mechanisms run
         # with the SMALL policy in the paper's configuration.
         return hasattr(self.page_table, "huge_mappings")
 
     def _fault_small(self, page: int, site: int) -> float:
-        frame = self._retrying(self.allocator.alloc_frame, site=site)
+        # The common case runs each allocating call once, without the
+        # _retrying wrapper; OOM reclaims and hands over to it.
+        alloc_frame = self.allocator.alloc_frame
+        try:
+            frame = alloc_frame(site)
+        except OutOfMemoryError:
+            self._reclaim_for_fault()
+            frame = self._retrying(alloc_frame, site)
         # Installing the mapping may itself allocate page-table nodes.
-        self._retrying(self.page_table.map_page, page, frame, PAGE_SHIFT)
-        self._lru_frames.append(_FrameRecord(page, frame, huge=False))
+        map_page = self.page_table.map_page
+        try:
+            map_page(page, frame, PAGE_SHIFT)
+        except OutOfMemoryError:
+            self._reclaim_for_fault()
+            self._retrying(map_page, page, frame, PAGE_SHIFT)
+        self._lru_frames.append(_FrameRecord(page, frame, False))
         self.stats.minor_faults += 1
         return self.costs.minor_fault_cycles
 
@@ -201,7 +262,13 @@ class OSMemoryManager:
             try:
                 return operation(*args, **kwargs)
             except OutOfMemoryError:
-                self._reclaim_one()
+                self._reclaim_for_fault()
+
+    def _reclaim_for_fault(self) -> None:
+        """Reclaim because an allocation of this manager's fault hit
+        OOM (counted: a reclaim invalidates ``fault_in``'s seen-set)."""
+        self._fault_reclaims += 1
+        self._reclaim_one()
 
     @property
     def resident_records(self) -> int:
@@ -311,27 +378,6 @@ class OSMemoryManager:
     def metadata_bytes(self) -> int:
         """Physical memory currently holding page-table structures."""
         return self.page_table.table_bytes()
-
-    def prefault_range(self, base_vaddr: int, length: int,
-                       site: int = 0) -> Tuple[int, float]:
-        """Populate mappings for a VA range (dataset initialization).
-
-        Returns (pages mapped, total fault cycles).  Used by workloads
-        whose setup phase writes the whole dataset, which is what makes
-        the paper's PL1/PL2 levels nearly fully occupied.
-        """
-        pages = 0
-        cycles = 0.0
-        step = 1 << PAGE_SHIFT
-        addr = base_vaddr
-        end = base_vaddr + length
-        while addr < end:
-            cost = self.ensure_mapped(addr, site=site)
-            if cost:
-                pages += 1
-                cycles += cost
-            addr += step
-        return pages, cycles
 
 
 def huge_region_of(page: int) -> int:

@@ -194,8 +194,8 @@ class Workload(ABC):
 
         ``probe_keys=False`` yields plain ``(addresses, writes)``
         pairs instead — same addresses, no VPN/line materialization —
-        for consumers that only read addresses (the prefault warmup,
-        :meth:`stream`).  A ``Core`` needs the four-field chunks.
+        for consumers that only read addresses (the prefault warmup).
+        A ``Core`` needs the four-field chunks.
         """
         rng = np.random.default_rng(
             (self.seed * 1_000_003 + core_id) & 0xFFFFFFFF)
@@ -231,13 +231,6 @@ class Workload(ABC):
                 yield (addrs.tolist(),
                        np.asarray(writes, dtype=bool).tolist())
             remaining -= batch
-
-    def stream(self, core_id: int,
-               num_refs: int) -> Iterator[Tuple[int, bool]]:
-        """Per-item view of :meth:`stream_chunks` (compatibility API)."""
-        for addrs, writes in self.stream_chunks(core_id, num_refs,
-                                                probe_keys=False):
-            yield from zip(addrs, writes)
 
     # -- introspection --------------------------------------------------------
 

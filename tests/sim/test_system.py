@@ -1,5 +1,10 @@
 """Tests for system assembly (Table I wiring, prefault warmup)."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.mem.dram import DDR4_2400, HBM2
 from repro.sim.config import cpu_config, ndp_config
 from repro.sim.system import System
@@ -73,3 +78,30 @@ class TestPrefault:
         system = System(ndp_config(mechanism="hugepage",
                                    thp_promotion_fraction=1.0, **FAST))
         assert system.page_table.huge_mappings > 0
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("overrides", [
+        dict(num_cores=1),
+        dict(num_cores=2),
+        dict(num_cores=2, tenants=2),
+    ])
+    def test_finished_system_freed_without_cyclic_gc(self, overrides):
+        """run() closes each core's chunk coroutine, whose frame would
+        otherwise hold the core (and through it the whole machine) in
+        a reference cycle only the cyclic collector can free."""
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = System(ndp_config(**FAST, **overrides))
+            system.run()
+            core = weakref.ref(system.cores[0])
+            table = weakref.ref(system.page_table)
+            del system
+            assert core() is None
+            if overrides.get("tenants", 1) == 1:
+                # Tenant OS hooks still form a cycle of their own.
+                assert table() is None
+        finally:
+            if gc_was_enabled:
+                gc.enable()

@@ -1,5 +1,7 @@
 """Tests for the physical frame allocator and its contiguity model."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -219,3 +221,174 @@ class TestCompaction:
     def test_compaction_counted(self, allocator):
         allocator.compact()
         assert allocator.stats.compactions == 1
+
+
+class _EagerReference:
+    """The allocator as it was built before the lazy boot layout.
+
+    Every boot-fragmented block is a ``[first_frame, next_offset]``
+    pair from the start, and pinned-ness is a scan of the fragmented
+    deque.  Kept only as the model the real allocator must match.
+    """
+
+    def __init__(self, phys_bytes, fragmentation, reserved_bytes=None):
+        if reserved_bytes is None:
+            reserved_bytes = phys_bytes // 50
+        self.num_blocks = phys_bytes // (FRAMES_PER_BLOCK * 4096)
+        self.num_frames = self.num_blocks * FRAMES_PER_BLOCK
+        reserved = -(-reserved_bytes // (FRAMES_PER_BLOCK * 4096))
+        self.free_blocks = deque()
+        self.fragmented = deque()
+        for i, block in enumerate(range(reserved, self.num_blocks)):
+            if int(i * fragmentation) < int((i + 1) * fragmentation):
+                self.fragmented.append(
+                    [block * FRAMES_PER_BLOCK, FRAMES_PER_BLOCK // 2])
+            else:
+                self.free_blocks.append(block)
+        self.partials = {}
+        self.free_list = deque()
+
+    def pinned(self, partial):
+        return any(p is partial for p in self.fragmented)
+
+    def alloc_frame(self, site):
+        if self.free_list:
+            return self.free_list.popleft()
+        partial = self.partials.get(site)
+        if partial is None or partial[1] >= FRAMES_PER_BLOCK:
+            partial = self.open_block(site)
+        partial[1] += 1
+        return partial[0] + partial[1] - 1
+
+    def open_block(self, site):
+        while self.fragmented:
+            partial = self.fragmented[0]
+            if partial[1] >= FRAMES_PER_BLOCK:
+                self.fragmented.popleft()
+                continue
+            self.partials[site] = partial
+            return partial
+        if not self.free_blocks:
+            open_ = [p for p in self.partials.values()
+                     if p[1] < FRAMES_PER_BLOCK]
+            if not open_:
+                raise OutOfMemoryError("no free 4 KB frame")
+            best = min(open_, key=lambda p: p[1])  # first on ties
+            self.partials[site] = best
+            return best
+        partial = [self.free_blocks.popleft() * FRAMES_PER_BLOCK, 0]
+        self.partials[site] = partial
+        return partial
+
+    def alloc_huge(self):
+        if not self.free_blocks:
+            return None
+        return self.free_blocks.popleft() * FRAMES_PER_BLOCK
+
+    @property
+    def free_frames(self):
+        return (len(self.free_blocks) * FRAMES_PER_BLOCK
+                + sum(FRAMES_PER_BLOCK - p[1]
+                      for p in self.partials.values())
+                + sum(FRAMES_PER_BLOCK - p[1] for p in self.fragmented)
+                + len(self.free_list))
+
+    @property
+    def movable_scattered_frames(self):
+        return len(self.free_list) + sum(
+            FRAMES_PER_BLOCK - p[1] for p in self.partials.values()
+            if not self.pinned(p))
+
+    def compact(self, efficiency=0.5):
+        blocks = int(self.movable_scattered_frames
+                     * efficiency) // FRAMES_PER_BLOCK
+        if blocks == 0:
+            return 0
+        drained, goal = 0, blocks * FRAMES_PER_BLOCK
+        while self.free_list and drained < goal:
+            self.free_list.popleft()
+            drained += 1
+        for partial in list(self.partials.values()):
+            if drained >= goal:
+                break
+            if self.pinned(partial):
+                continue
+            take = min(FRAMES_PER_BLOCK - partial[1], goal - drained)
+            partial[1] += take
+            drained += take
+        self.free_blocks.extend(range(self.num_blocks - blocks,
+                                      self.num_blocks))
+        return blocks
+
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("small"), st.sampled_from([0, 1, 2, 1 << 20]),
+              st.integers(1, 700)),
+    st.tuples(st.just("huge"), st.just(0), st.integers(1, 3)),
+    st.tuples(st.just("free"), st.just(0), st.integers(1, 600)),
+    st.tuples(st.just("compact"), st.just(0), st.just(1)),
+), max_size=25)
+
+
+class TestLazyBootLayout:
+    """The lazily built allocator keeps the eager accounting."""
+
+    @staticmethod
+    def observe(alloc):
+        return (alloc.free_frames, alloc.free_block_count,
+                alloc.scattered_free_frames,
+                alloc.movable_scattered_frames, alloc.pressure)
+
+    @staticmethod
+    def observe_reference(ref, num_frames):
+        free = ref.free_frames
+        return (free, len(ref.free_blocks),
+                free - len(ref.free_blocks) * FRAMES_PER_BLOCK,
+                ref.movable_scattered_frames, 1.0 - free / num_frames)
+
+    @pytest.mark.parametrize("fragmentation",
+                             [0.0, 0.3, 0.5, 0.7, 0.95])
+    @given(ops=_OPS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_matches_eager_construction(self, fragmentation, ops):
+        alloc = FrameAllocator(16 * MIB, fragmentation=fragmentation)
+        ref = _EagerReference(16 * MIB, fragmentation)
+        taken = []
+        for op, site, count in ops:
+            for _ in range(count):
+                if op == "small":
+                    try:
+                        frame = alloc.alloc_frame(site=site)
+                    except OutOfMemoryError:
+                        with pytest.raises(OutOfMemoryError):
+                            ref.alloc_frame(site)
+                        break
+                    assert frame == ref.alloc_frame(site)
+                    taken.append(frame)
+                elif op == "huge":
+                    assert alloc.alloc_huge() == ref.alloc_huge()
+                elif op == "free" and taken:
+                    frame = taken.pop()
+                    alloc.free_frame(frame)
+                    ref.free_list.append(frame)
+                elif op == "compact":
+                    assert alloc.compact() == ref.compact()
+            assert self.observe(alloc) \
+                == self.observe_reference(ref, alloc.num_frames)
+
+    def test_layout_shared_across_instances(self):
+        a = FrameAllocator(64 * MIB, fragmentation=0.5)
+        b = FrameAllocator(64 * MIB, fragmentation=0.5)
+        a.alloc_frame()
+        assert b.free_frames == 12032  # a's allocation did not leak
+
+    def test_free_frames_double_counts_open_fragmented_block(self):
+        """Known defect, pinned: the fragmented block a site carves
+        from is counted both as a partial and as a fragmented block,
+        so one allocation *raises* ``free_frames`` (12032 -> 12286
+        instead of 12031).  ``frame_pressure`` results depend on it;
+        fixing it needs a ``CODE_VERSION`` bump."""
+        alloc = FrameAllocator(64 * MIB, fragmentation=0.5)
+        assert alloc.free_frames == 16 * 512 + 15 * 256 == 12032
+        alloc.alloc_frame()
+        assert alloc.free_frames == 12286

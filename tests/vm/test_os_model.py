@@ -55,17 +55,76 @@ class TestDemandPaging:
         assert os.stats.fault_cycles \
             == 2 * os.costs.minor_fault_cycles
 
-    def test_prefault_range(self):
-        os = make_os()
-        pages, cycles = os.prefault_range(0, 10 * PAGE_SIZE)
-        assert pages == 10
-        assert cycles == 10 * os.costs.minor_fault_cycles
-
     def test_metadata_bytes_tracks_page_table(self):
         os = make_os()
         before = os.metadata_bytes()
         os.ensure_mapped(1 << 40)  # new subtree
         assert os.metadata_bytes() > before
+
+
+class TestFaultIn:
+    """The batched warmup fault loop matches per-address faulting."""
+
+    @staticmethod
+    def state(os):
+        table = os.page_table
+        return (os.stats, table.mapped_pages, table.structure_version,
+                [(r.page, r.frame, r.huge) for r in os._lru_frames],
+                os.allocator.free_frames)
+
+    @pytest.mark.parametrize("policy,phys", [
+        (PagingPolicy.SMALL, 64 * MIB),
+        (PagingPolicy.HUGE, 64 * MIB),
+        (PagingPolicy.SMALL, 4 * MIB),   # reclaims mid-batch
+        (PagingPolicy.HUGE, 8 * MIB),    # compaction and fallback
+    ])
+    def test_matches_ensure_mapped(self, policy, phys):
+        vaddrs = [(i * 7919 % 3000) * PAGE_SIZE + 8 * i
+                  for i in range(4000)]
+        vaddrs += [(1 << 40) + i * PAGE_SIZE for i in range(300)]
+        batched = make_os(phys=phys, policy=policy, frag=0.3)
+        single = make_os(phys=phys, policy=policy, frag=0.3)
+        assert batched.fault_in(vaddrs, site=1) == len(vaddrs)
+        for vaddr in vaddrs:
+            single.ensure_mapped(vaddr, site=1)
+        assert self.state(batched) == self.state(single)
+
+    def test_ech_rehash_charged_per_fault(self):
+        def ech_os():
+            allocator = FrameAllocator(64 * MIB)
+            return OSMemoryManager(
+                allocator, ElasticCuckooPageTable(allocator,
+                                                  initial_entries=64))
+        batched, single = ech_os(), ech_os()
+        vaddrs = [i * PAGE_SIZE for i in range(2000)]
+        batched.fault_in(vaddrs)
+        for vaddr in vaddrs:
+            single.ensure_mapped(vaddr)
+        assert batched.stats.fault_cycles == single.stats.fault_cycles
+        assert batched.stats.fault_cycles \
+            > 2000 * batched.costs.minor_fault_cycles
+
+    def test_seen_pages_skipped_and_recorded(self):
+        os = make_os()
+        seen = {0}
+        assert os.fault_in([0, 8, PAGE_SIZE, PAGE_SIZE + 8], seen=seen) \
+            == 4
+        assert os.page_table.lookup(0) is None  # trusted, not looked up
+        assert os.stats.minor_faults == 1
+        assert seen == {0, 1}
+
+    def test_reclaim_stops_a_seen_batch(self):
+        os = make_os(phys=4 * MIB)
+        vaddrs = [i * PAGE_SIZE for i in range(os.allocator.num_frames
+                                                + 50)]
+        seen = set()
+        done = os.fault_in(vaddrs, seen=seen)
+        assert 0 < done < len(vaddrs)
+        assert os.stats.reclaims == 1
+        assert len(seen) == done
+        # Without a seen-set nothing goes stale: the rest runs through.
+        assert os.fault_in(vaddrs[done:]) == len(vaddrs) - done
+        assert os.stats.reclaims > 1
 
 
 class TestHugePolicy:
