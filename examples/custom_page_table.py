@@ -10,7 +10,7 @@ trades page-table memory for even shorter walks.
 Run:  python examples/custom_page_table.py
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro import ndp_config
 from repro.analysis.tables import format_table
@@ -18,7 +18,7 @@ from repro.core.bypass import MetadataBypass
 from repro.core.mechanisms import MECHANISMS, MechanismSpec
 from repro.sim.runner import run_mechanisms
 from repro.vm.address import LEVEL_BITS, PAGE_SHIFT, PTE_SIZE, level_index
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FRAMES_PER_BLOCK
 from repro.vm.os_model import PagingPolicy
 from repro.vm.radix import PT_ALLOC_SITE
@@ -81,18 +81,20 @@ class MegaFlattenedTable(PageTable):
         del node[1][index]
         self._mapped -= 1
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
+    def walk_info(self, page: int):
+        # Two sequential (pte_paddr, pwc_prefix) steps, one per entry
+        # of level_names, plus the translation; None when unmapped.
         idx4 = level_index(page, 4)
         node = self._nodes.get(idx4)
+        if node is None:
+            return None
         index = page & (MEGA_ENTRIES - 1)
-        if node is None or index not in node[1]:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return [
-            [WalkStage("PL4", self._root_paddr + idx4 * PTE_SIZE,
-                       ("PL4", idx4))],
-            [WalkStage("PL3/2/1", node[0] + index * PTE_SIZE,
-                       ("PL3/2/1", page))],
-        ]
+        translation = node[1].get(index)
+        if translation is None:
+            return None
+        steps = ((self._root_paddr + idx4 * PTE_SIZE, idx4),
+                 (node[0] + index * PTE_SIZE, page))
+        return steps, None, translation
 
     def occupancy(self) -> Dict[str, float]:
         if not self._nodes:

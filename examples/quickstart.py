@@ -43,7 +43,8 @@ def main():
 
     ndpage = results["ndpage"]
     print()
-    print(f"NDPage walk is {baseline.ptw_latency_mean / ndpage.ptw_latency_mean:.2f}x "
+    walk_ratio = baseline.ptw_latency_mean / ndpage.ptw_latency_mean
+    print(f"NDPage walk is {walk_ratio:.2f}x "
           f"faster than the radix walk: 3 levels instead of 4, and PTE "
           f"accesses bypass the L1 ({ndpage.l1_metadata_miss_rate:.0%} "
           f"L1 metadata traffic vs "

@@ -27,7 +27,7 @@ from repro.vm.address import (
     flat_index,
     level_index,
 )
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FRAMES_PER_BLOCK, FrameAllocator, OutOfMemoryError
 from repro.vm.radix import PT_ALLOC_SITE
 
@@ -41,9 +41,6 @@ class _InteriorNode:
         self.base_paddr = base_paddr
         self.entries: Dict[int, object] = {}
 
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
-
 
 class _FlatNode:
     """A merged L2/L1 node: one 2 MB page of 2^18 PTEs."""
@@ -53,9 +50,6 @@ class _FlatNode:
     def __init__(self, base_paddr: int):
         self.base_paddr = base_paddr
         self.entries: Dict[int, Translation] = {}
-
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
 
 
 class FlattenedPageTable(PageTable):
@@ -127,7 +121,6 @@ class FlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} already mapped")
         flat.entries[index] = Translation(pfn, PAGE_SHIFT)
         self._mapped_pages += 1
-        self.structure_version += 1
 
     def unmap_page(self, page: int) -> None:
         flat = self._flat_node_for(page, create=False)
@@ -135,51 +128,20 @@ class FlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} not mapped")
         del flat.entries[flat_index(page)]
         self._mapped_pages -= 1
-        self.structure_version += 1
-
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        node = self._root
-        idx4 = level_index(page, 4)
-        stages = [[WalkStage("PL4", node.pte_paddr(idx4),
-                             ("PL4", page >> (3 * LEVEL_BITS)))]]
-        child = node.entries.get(idx4)
-        if child is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        idx3 = level_index(page, 3)
-        stages.append([WalkStage("PL3", child.pte_paddr(idx3),
-                                 ("PL3", page >> (2 * LEVEL_BITS)))])
-        flat = child.entries.get(idx3)
-        if flat is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        index = flat_index(page)
-        if index not in flat.entries:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        stages.append([WalkStage("PL2/1", flat.pte_paddr(index),
-                                 ("PL2/1", page))])
-        return stages
-
-    def walk_plan(self, page: int):
-        """Specialized :meth:`PageTable.walk_plan` (no ``WalkStage``
-        construction; walkers compile a plan per walked page)."""
-        info = self.walk_info(page)
-        if info is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return info[0]
 
     def walk_info(self, page: int):
-        """Specialized :meth:`PageTable.walk_info`: plan + translation
-        from a single descent."""
+        """One descent, three steps: PL4, PL3 and the flattened PL2/1
+        leaf (see :meth:`PageTable.walk_info`)."""
         mask = ENTRIES_PER_NODE - 1
         node = self._root
         idx4 = (page >> (3 * LEVEL_BITS)) & mask
-        stage4 = ("PL4", node.base_paddr + idx4 * PTE_SIZE,
-                  page >> (3 * LEVEL_BITS))
+        step4 = (node.base_paddr + idx4 * PTE_SIZE, page >> (3 * LEVEL_BITS))
         child = node.entries.get(idx4)
         if child is None:
             return None
         idx3 = (page >> (2 * LEVEL_BITS)) & mask
-        stage3 = ("PL3", child.base_paddr + idx3 * PTE_SIZE,
-                  page >> (2 * LEVEL_BITS))
+        step3 = (child.base_paddr + idx3 * PTE_SIZE,
+                 page >> (2 * LEVEL_BITS))
         flat = child.entries.get(idx3)
         if flat is None:
             return None
@@ -187,44 +149,7 @@ class FlattenedPageTable(PageTable):
         leaf = flat.entries.get(index)
         if leaf is None:
             return None
-        return ((stage4,), (stage3,),
-                (("PL2/1", flat.base_paddr + index * PTE_SIZE, page),)
-                ), leaf
-
-    def walk_info_decorated(self, page: int, level_info: dict, resolve):
-        """Specialized :meth:`PageTable.walk_info_decorated`: one
-        descent, flat plan, walker treatment baked in."""
-        info4 = level_info.get("PL4")
-        if info4 is None:
-            info4 = resolve("PL4")
-        info3 = level_info.get("PL3")
-        if info3 is None:
-            info3 = resolve("PL3")
-        info21 = level_info.get("PL2/1")
-        if info21 is None:
-            info21 = resolve("PL2/1")
-
-        mask = ENTRIES_PER_NODE - 1
-        node = self._root
-        idx4 = (page >> (3 * LEVEL_BITS)) & mask
-        stage4 = (node.base_paddr + idx4 * PTE_SIZE, info4[0], info4[1],
-                  page >> (3 * LEVEL_BITS), "PL4")
-        child = node.entries.get(idx4)
-        if child is None:
-            return None
-        idx3 = (page >> (2 * LEVEL_BITS)) & mask
-        stage3 = (child.base_paddr + idx3 * PTE_SIZE, info3[0], info3[1],
-                  page >> (2 * LEVEL_BITS), "PL3")
-        flat = child.entries.get(idx3)
-        if flat is None:
-            return None
-        index = page & (FLAT_ENTRIES - 1)
-        leaf = flat.entries.get(index)
-        if leaf is None:
-            return None
-        return ((stage4, stage3,
-                 (flat.base_paddr + index * PTE_SIZE, info21[0],
-                  info21[1], page, "PL2/1")),
+        return ((step4, step3, (flat.base_paddr + index * PTE_SIZE, page)),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:

@@ -14,7 +14,7 @@ still cost two sequential accesses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.vm.address import (
     ENTRIES_PER_NODE,
@@ -24,7 +24,7 @@ from repro.vm.address import (
     PTE_SIZE,
     level_index,
 )
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FRAMES_PER_BLOCK, FrameAllocator, OutOfMemoryError
 from repro.vm.radix import PT_ALLOC_SITE
 
@@ -40,9 +40,6 @@ class _Pl1Node:
         self.base_paddr = base_paddr
         self.entries: Dict[int, Translation] = {}
 
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
-
 
 class _UpperFlatNode:
     """One 2 MB node holding the merged PL3/PL2 entries."""
@@ -52,9 +49,6 @@ class _UpperFlatNode:
     def __init__(self, base_paddr: int):
         self.base_paddr = base_paddr
         self.entries: Dict[int, _Pl1Node] = {}
-
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
 
 
 class UpperFlattenedPageTable(PageTable):
@@ -110,7 +104,6 @@ class UpperFlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} already mapped")
         pl1.entries[idx1] = Translation(pfn, PAGE_SHIFT)
         self._mapped += 1
-        self.structure_version += 1
 
     def unmap_page(self, page: int) -> None:
         pl1 = self._pl1_for(page, create=False)
@@ -119,25 +112,25 @@ class UpperFlattenedPageTable(PageTable):
             raise MappingError(f"page {page:#x} not mapped")
         del pl1.entries[idx1]
         self._mapped -= 1
-        self.structure_version += 1
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
+    def walk_info(self, page: int):
+        """PL4, merged PL3/2 and PL1 steps (see
+        :meth:`PageTable.walk_info`)."""
         idx4 = level_index(page, 4)
         flat = self._flat_nodes.get(idx4)
+        if flat is None:
+            return None
         upper = self._upper_index(page)
-        if flat is None or upper not in flat.entries:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        pl1 = flat.entries[upper]
+        pl1 = flat.entries.get(upper)
+        if pl1 is None:
+            return None
         idx1 = level_index(page, 1)
-        if idx1 not in pl1.entries:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return [
-            [WalkStage("PL4", self._root_paddr + idx4 * PTE_SIZE,
-                       ("PL4", page >> (3 * LEVEL_BITS)))],
-            [WalkStage("PL3/2", flat.pte_paddr(upper),
-                       ("PL3/2", page >> LEVEL_BITS))],
-            [WalkStage("PL1", pl1.pte_paddr(idx1), ("PL1", page))],
-        ]
+        leaf = pl1.entries.get(idx1)
+        if leaf is None:
+            return None
+        return ((self._root_paddr + idx4 * PTE_SIZE, page >> (3 * LEVEL_BITS)),
+                (flat.base_paddr + upper * PTE_SIZE, page >> LEVEL_BITS),
+                (pl1.base_paddr + idx1 * PTE_SIZE, page)), None, leaf
 
     def occupancy(self) -> Dict[str, float]:
         result = {"PL4": len(self._flat_nodes) / ENTRIES_PER_NODE}

@@ -131,9 +131,8 @@ class Mmu:
         """L1-DTLB miss: 2 MB L1 / L2 TLBs, then fault + walk.
 
         ``page`` is the ASID-tagged key (tag 0 single-process); the
-        page table and walker plan memo work on the untagged VPN —
-        each tenant has its own table, so tags would only split the
-        memo for nothing.
+        page table works on the untagged VPN, as each tenant has its
+        own table.
         """
         stats = self.stats
         translation, latency = \
@@ -146,21 +145,21 @@ class Mmu:
                     | (vaddr & ((1 << shift) - 1)),
                     latency, 0.0, True, False)
 
-        # Full TLB miss: resolve any fault, then walk.  The walker's
-        # plan memo resolves the PTE access plan and the translation in
-        # one table descent; only an actual fault (plan_info None)
-        # takes the OS path, after which the page is mapped and the
-        # plan resolves.
+        # Full TLB miss: resolve any fault, then walk.  One table
+        # descent yields the walk and the translation; only an actual
+        # fault (walk_info None) takes the OS path, after which the
+        # page is mapped and the walk resolves.
         walker = self.walker
+        walk_info = walker.table.walk_info
         vpn = page & ASID_KEY_MASK
-        plan = walker.plan_info(vpn)
-        if plan is not None:
+        info = walk_info(vpn)
+        if info is not None:
             fault_cycles = 0.0
         else:
             _, fault_cycles = self.os.ensure_translated(
                 vaddr, site=self.core_id)
-            plan = walker.plan_info(vpn)
-        flat, staged, translation = plan
+            info = walk_info(vpn)
+        flat, staged, translation = info
         walk_latency = walker.walk_from_plan(
             now + latency + fault_cycles, flat, staged)
         latency += walk_latency

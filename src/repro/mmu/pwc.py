@@ -13,8 +13,9 @@ Under multiprogramming the walker tags every key with the owning
 address space's ASID (packed above the prefix bits, see
 :data:`repro.vm.address.ASID_SHIFT`), so co-runners' entries coexist;
 when the scheduler must recycle ASIDs it calls :meth:`PwcSet.flush`,
-which clears every level in place (the walker's memoized set bindings
-stay valid) and counts the flush for the scheduler's accounting.
+which clears every level in place (the walker's pre-resolved set
+bindings stay valid) and counts the flush for the scheduler's
+accounting.
 """
 
 from __future__ import annotations

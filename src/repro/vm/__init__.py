@@ -1,12 +1,7 @@
 """Virtual-memory substrate: addresses, frames, page tables, OS model."""
 
 from repro.vm import address
-from repro.vm.base import (
-    MappingError,
-    PageTable,
-    Translation,
-    WalkStage,
-)
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.cuckoo import ElasticCuckooPageTable
 from repro.vm.frames import (
     FRAMES_PER_BLOCK,
@@ -41,7 +36,6 @@ __all__ = [
     "PagingPolicy",
     "RadixPageTable",
     "Translation",
-    "WalkStage",
     "address",
     "flattened_occupancy_from_ranges",
     "level_occupancy_from_ranges",

@@ -4,20 +4,20 @@ A page table in this simulator answers three questions:
 
 1. *Functional*: what physical frame backs this VPN (``lookup``)?
 2. *Structural*: which physical PTE addresses would a hardware walker
-   touch, in what order (``walk_stages``)?  Stages are a list of groups;
-   groups are sequential (radix levels), the accesses *within* a group
-   happen in parallel (elastic-cuckoo ways).
+   touch, in what order (``walk_info``)?  A walk is either a chain of
+   sequential steps, one per level of ``level_names`` (radix-family
+   tables), or one stage of parallel probes (elastic-cuckoo ways).
 3. *Spatial*: how full is each level (``occupancy``), the paper's
    Fig. 8 evidence for flattening.
 
-The walker (:mod:`repro.mmu.walker`) turns stages into timed memory
+The walker (:mod:`repro.mmu.walker`) turns a walk into timed memory
 requests; page tables themselves are timing-free.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.vm.address import PAGE_SHIFT
 
@@ -34,15 +34,6 @@ class Translation(NamedTuple):
         return (self.pfn << self.page_shift) | offset
 
 
-class WalkStage(NamedTuple):
-    """One PTE access a hardware walker would perform."""
-
-    level: str                       # 'PL4', 'PL3', 'PL2', 'PL1',
-    #                                  'PL2/1' (flattened), 'ECH-wayN'
-    pte_paddr: int                   # physical address of the PTE
-    pwc_key: Optional[Tuple[str, int]]  # page-walk-cache tag, or None
-
-
 class MappingError(Exception):
     """Raised on invalid map/unmap operations."""
 
@@ -50,14 +41,10 @@ class MappingError(Exception):
 class PageTable(ABC):
     """Interface implemented by radix, flattened, cuckoo and ideal tables."""
 
-    #: Ordered level labels, root first (empty for hash-based tables).
+    #: Ordered level labels, root first.  Step ``i`` of a walk belongs
+    #: to ``level_names[i]``; the walker keys its L1-bypass policy and
+    #: page-walk caches on these names.
     level_names: Tuple[str, ...] = ()
-
-    #: Monotonic counter every implementation bumps on any structural
-    #: change (map/unmap/resize).  Lets walkers memoize ``walk_stages``
-    #: results — the stages for a page are a pure function of the table
-    #: structure — and invalidate the memo when the structure moves.
-    structure_version: int = 0
 
     @abstractmethod
     def lookup(self, page: int) -> Optional[Translation]:
@@ -74,87 +61,24 @@ class PageTable(ABC):
         """Remove a mapping (raises MappingError if absent)."""
 
     @abstractmethod
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        """PTE accesses for a walk of ``page``.
+    def walk_info(self, page: int) -> Optional[
+            Tuple[Optional[tuple], Optional[tuple], Translation]]:
+        """``(flat, staged, translation)`` for ``page`` from one descent.
 
-        Requires the page to be mapped (the MMU resolves faults before
-        walking).  Outer list = sequential stages; inner list = parallel
-        accesses within the stage.
+        Returns None when ``page`` is unmapped (the MMU faults it in and
+        asks again).  Otherwise exactly one of ``flat`` and ``staged``
+        is a tuple:
+
+        * ``flat`` is the sequential walk, root first: one
+          ``(pte_paddr, pwc_prefix)`` step per level, step ``i``
+          belonging to ``level_names[i]``.  ``pwc_prefix`` is the
+          translation prefix that level consumes, the tag of its
+          page-walk cache.  A walk may end early (a 2 MB leaf ends a
+          radix walk at PL2); an ideal table's walk is ``()``.
+        * ``staged`` is one stage of at least two parallel
+          ``(pte_paddr, None)`` probes of level ``level_names[0]``
+          (elastic-cuckoo ways); parallel probes have no PWC.
         """
-
-    def walk_plan(self, page: int) -> Tuple[Tuple[Tuple[str, int,
-                                                        Optional[int]],
-                                                  ...], ...]:
-        """Allocation-lean equivalent of :meth:`walk_stages`.
-
-        Returns a tuple of sequential stages, each a tuple of parallel
-        ``(level, pte_paddr, pwc_prefix_or_None)`` triples, where
-        ``pwc_prefix`` is the integer half of ``WalkStage.pwc_key``
-        (each page-table level has its own walk cache, so the level
-        string in the key is redundant).  The default derives the plan
-        from :meth:`walk_stages`; hot tables override it to skip the
-        ``WalkStage`` construction entirely.
-        """
-        return tuple(
-            tuple((step.level, step.pte_paddr,
-                   step.pwc_key[-1] if step.pwc_key is not None else None)
-                  for step in stage)
-            for stage in self.walk_stages(page))
-
-    def walk_info(self, page: int):
-        """``(walk_plan, translation)`` in one descent, or None.
-
-        A walker needs both the PTE access plan and the resulting
-        translation of a walk; resolving them separately costs two
-        table descents.  Returns None when the page is unmapped (the
-        caller faults and retries).  The default composes
-        :meth:`lookup` and :meth:`walk_plan`; hot tables override it to
-        share a single descent.
-        """
-        translation = self.lookup(page)
-        if translation is None:
-            return None
-        return self.walk_plan(page), translation
-
-    def walk_info_decorated(self, page: int, level_info: dict, resolve):
-        """:meth:`walk_info` with the walker's per-level treatment baked
-        into each step.
-
-        ``level_info`` maps a level name to ``(bypass_flag,
-        pwc_probe_or_None)`` and ``resolve(level)`` computes-and-caches
-        a missing entry.  Returns ``(flat, staged, translation)``:
-
-        * when every stage is a single step (radix-family tables) the
-          plan is *flat*: ``flat`` is a tuple of ``(pte_paddr,
-          bypass_flag, pwc_probe, pwc_prefix, level)`` steps — one per
-          sequential stage — and ``staged`` is None;
-        * otherwise (parallel probes, e.g. cuckoo ways) ``flat`` is
-          None and ``staged`` is a tuple of stages, each a tuple of
-          such steps.
-
-        Everything a walker needs per step is resolved once per
-        (page, table version) instead of per walk.  None when the page
-        is unmapped.
-        """
-        info = self.walk_info(page)
-        if info is None:
-            return None
-        raw, translation = info
-        staged = []
-        flat = True
-        for stage in raw:
-            steps = []
-            for level, pte_paddr, key in stage:
-                deco = level_info.get(level)
-                if deco is None:
-                    deco = resolve(level)
-                steps.append((pte_paddr, deco[0], deco[1], key, level))
-            if len(steps) != 1:
-                flat = False
-            staged.append(tuple(steps))
-        if flat:
-            return tuple(stage[0] for stage in staged), None, translation
-        return None, tuple(staged), translation
 
     @abstractmethod
     def occupancy(self) -> Dict[str, float]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.vm.address import PAGE_SHIFT, PAGE_SIZE
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FrameAllocator
 from repro.vm.radix import PT_ALLOC_SITE
 
@@ -62,9 +62,6 @@ class _Way:
     def index_of(self, page: int) -> int:
         return _splitmix64(page ^ self.salt) % self.size
 
-    def slot_paddr(self, index: int) -> int:
-        return self.base_paddr + index * ECH_ENTRY_BYTES
-
 
 class ElasticCuckooPageTable(PageTable):
     """d-ary elastic cuckoo hash table over 4 KB mappings.
@@ -79,7 +76,8 @@ class ElasticCuckooPageTable(PageTable):
         seed: RNG seed for way salts and kick choices.
     """
 
-    level_names = ()
+    #: Every way probe is one access of the same, single level.
+    level_names = ("ECH",)
 
     def __init__(self, allocator: FrameAllocator, ways: int = 2,
                  initial_entries: int = 1 << 14,
@@ -139,7 +137,6 @@ class ElasticCuckooPageTable(PageTable):
         self.stats.inserts += 1
         self._insert(page, Translation(pfn, PAGE_SHIFT))
         self._mapped_pages += 1
-        self.structure_version += 1
         if self.load_factor > self._resize_threshold:
             self._resize()
 
@@ -162,7 +159,6 @@ class ElasticCuckooPageTable(PageTable):
 
     def _resize(self) -> None:
         self.stats.resizes += 1
-        self.structure_version += 1
         entries = [
             entry for way in self._ways for entry in way.slots.values()
         ]
@@ -181,39 +177,26 @@ class ElasticCuckooPageTable(PageTable):
             if entry is not None and entry[0] == page:
                 del way.slots[index]
                 self._mapped_pages -= 1
-                self.structure_version += 1
                 return
         raise MappingError(f"page {page:#x} not mapped")
 
     # -- walker-facing structure ----------------------------------------------
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        """One stage of ``d`` parallel probes (nests disabled)."""
-        if self.lookup(page) is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        probes = [
-            WalkStage(f"ECH-way{i}",
-                      way.slot_paddr(way.index_of(page)), None)
-            for i, way in enumerate(self._ways)
-        ]
-        return [probes]
-
     def walk_info(self, page: int):
-        """Specialized :meth:`PageTable.walk_info`: the way probes also
-        resolve the translation, so one pass yields both."""
+        """One stage of ``d`` parallel way probes (nests disabled); the
+        probes also resolve the translation, so one pass yields both
+        (see :meth:`PageTable.walk_info`)."""
         translation = None
         probes = []
-        for i, way in enumerate(self._ways):
+        for way in self._ways:
             index = _splitmix64(page ^ way.salt) % way.size
-            probes.append((f"ECH-way{i}",
-                           way.base_paddr + index * ECH_ENTRY_BYTES,
-                           None))
+            probes.append((way.base_paddr + index * ECH_ENTRY_BYTES, None))
             entry = way.slots.get(index)
             if entry is not None and entry[0] == page:
                 translation = entry[1]
         if translation is None:
             return None
-        return (tuple(probes),), translation
+        return None, tuple(probes), translation
 
     def occupancy(self) -> Dict[str, float]:
         return {

@@ -4,17 +4,17 @@ Every translation request hits a zero-latency L1 TLB: no page-table
 memory traffic exists at all.  This bounds what any translation
 mechanism could achieve and anchors the top of Figs. 12-14.
 
-Functionally a dict; ``walk_stages`` is empty so the walker issues no
-memory requests, and the MMU charges zero lookup latency when it is
-configured with the IDEAL mechanism.
+Functionally a dict.  Its walk (``walk_info``) has no steps, so a
+walker issues no memory requests for it; the MMU of the IDEAL
+mechanism does not walk at all and charges zero lookup latency.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.vm.address import PAGE_SHIFT
-from repro.vm.base import MappingError, PageTable, Translation, WalkStage
+from repro.vm.base import MappingError, PageTable, Translation
 
 
 class IdealPageTable(PageTable):
@@ -40,18 +40,17 @@ class IdealPageTable(PageTable):
         if page in self._mappings:
             raise MappingError(f"page {page:#x} already mapped")
         self._mappings[page] = Translation(pfn, PAGE_SHIFT)
-        self.structure_version += 1
 
     def unmap_page(self, page: int) -> None:
         if page not in self._mappings:
             raise MappingError(f"page {page:#x} not mapped")
         del self._mappings[page]
-        self.structure_version += 1
 
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        if page not in self._mappings:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return []
+    def walk_info(self, page: int):
+        translation = self._mappings.get(page)
+        if translation is None:
+            return None
+        return (), None, translation
 
     def occupancy(self) -> Dict[str, float]:
         return {}

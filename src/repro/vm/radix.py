@@ -23,12 +23,7 @@ from repro.vm.address import (
     PTE_SIZE,
     level_index,
 )
-from repro.vm.base import (
-    MappingError,
-    PageTable,
-    Translation,
-    WalkStage,
-)
+from repro.vm.base import MappingError, PageTable, Translation
 from repro.vm.frames import FrameAllocator
 
 #: Allocation site used for page-table pages, distinct from any core.
@@ -47,14 +42,6 @@ class _Node:
         self.base_paddr = base_paddr
         # index -> child _Node (interior) or Translation (leaf)
         self.entries: Dict[int, object] = {}
-
-    def pte_paddr(self, index: int) -> int:
-        return self.base_paddr + index * PTE_SIZE
-
-
-def _pwc_key(level: int, page: int):
-    """Tag identifying the translation prefix cached at ``level``."""
-    return (_LEVEL_NAMES[level], page >> (LEVEL_BITS * (level - 1)))
 
 
 class RadixPageTable(PageTable):
@@ -137,7 +124,6 @@ class RadixPageTable(PageTable):
             raise MappingError(f"page {page:#x} already mapped")
         entry.entries[idx1] = Translation(pfn, PAGE_SHIFT)
         self._mapped_pages += 1
-        self.structure_version += 1
 
     def _map_huge(self, page: int, pfn: int) -> None:
         if page % ENTRIES_PER_NODE != 0:
@@ -154,7 +140,6 @@ class RadixPageTable(PageTable):
             pfn >> (HUGE_PAGE_SHIFT - PAGE_SHIFT), HUGE_PAGE_SHIFT)
         self._mapped_pages += ENTRIES_PER_NODE
         self.huge_mappings += 1
-        self.structure_version += 1
 
     def unmap_page(self, page: int) -> None:
         node = self._root
@@ -168,129 +153,45 @@ class RadixPageTable(PageTable):
             del node.entries[idx2]
             self._mapped_pages -= ENTRIES_PER_NODE
             self.huge_mappings -= 1
-            self.structure_version += 1
             return
         if entry is None or level_index(page, 1) not in entry.entries:
             raise MappingError(f"page {page:#x} not mapped")
         del entry.entries[level_index(page, 1)]
         self._mapped_pages -= 1
-        self.structure_version += 1
-
-    def walk_stages(self, page: int) -> List[List[WalkStage]]:
-        stages: List[List[WalkStage]] = []
-        node = self._root
-        for level in (4, 3, 2):
-            index = level_index(page, level)
-            stages.append([WalkStage(
-                _LEVEL_NAMES[level], node.pte_paddr(index),
-                _pwc_key(level, page))])
-            entry = node.entries.get(index)
-            if entry is None:
-                raise MappingError(f"walk of unmapped page {page:#x}")
-            if isinstance(entry, Translation):
-                return stages  # 2 MB leaf: 3-stage walk
-            node = entry
-        index = level_index(page, 1)
-        if index not in node.entries:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        stages.append([WalkStage(
-            "PL1", node.pte_paddr(index), _pwc_key(1, page))])
-        return stages
-
-    def walk_plan(self, page: int):
-        """Specialized :meth:`PageTable.walk_plan`: same stages as
-        :meth:`walk_stages` without building ``WalkStage`` objects —
-        walkers compile a plan per walked page, which makes this a warm
-        path for low-reuse reference streams."""
-        info = self.walk_info(page)
-        if info is None:
-            raise MappingError(f"walk of unmapped page {page:#x}")
-        return info[0]
 
     def walk_info(self, page: int):
-        """Specialized :meth:`PageTable.walk_info`: plan + translation
-        from a single tree descent."""
+        """One unrolled descent: 4 steps for a 4 KB page, 3 for a page
+        inside a 2 MB mapping (see :meth:`PageTable.walk_info`)."""
         mask = ENTRIES_PER_NODE - 1
         node = self._root
         index = (page >> (3 * LEVEL_BITS)) & mask
-        stage4 = ("PL4", node.base_paddr + index * PTE_SIZE,
-                  page >> (3 * LEVEL_BITS))
+        step4 = (node.base_paddr + index * PTE_SIZE,
+                 page >> (3 * LEVEL_BITS))
         node = node.entries.get(index)
         if node is None:
             return None
 
         index = (page >> (2 * LEVEL_BITS)) & mask
-        stage3 = ("PL3", node.base_paddr + index * PTE_SIZE,
-                  page >> (2 * LEVEL_BITS))
+        step3 = (node.base_paddr + index * PTE_SIZE,
+                 page >> (2 * LEVEL_BITS))
         node = node.entries.get(index)
         if node is None:
             return None
 
         index = (page >> LEVEL_BITS) & mask
-        stage2 = ("PL2", node.base_paddr + index * PTE_SIZE,
-                  page >> LEVEL_BITS)
+        step2 = (node.base_paddr + index * PTE_SIZE, page >> LEVEL_BITS)
         entry = node.entries.get(index)
         if entry is None:
             return None
-        if type(entry) is Translation:  # 2 MB leaf: 3-stage walk
-            return ((stage4,), (stage3,), (stage2,)), entry
+        if type(entry) is Translation:  # 2 MB leaf: 3-step walk
+            return (step4, step3, step2), None, entry
 
         index = page & mask
         leaf = entry.entries.get(index)
         if leaf is None:
             return None
-        return (((stage4,), (stage3,), (stage2,),
-                 (("PL1", entry.base_paddr + index * PTE_SIZE, page),)),
-                leaf)
-
-    def walk_info_decorated(self, page: int, level_info: dict, resolve):
-        """Specialized :meth:`PageTable.walk_info_decorated`: one
-        descent, flat plan, walker treatment baked in."""
-        info4 = level_info.get("PL4")
-        if info4 is None:
-            info4 = resolve("PL4")
-        info3 = level_info.get("PL3")
-        if info3 is None:
-            info3 = resolve("PL3")
-        info2 = level_info.get("PL2")
-        if info2 is None:
-            info2 = resolve("PL2")
-
-        mask = ENTRIES_PER_NODE - 1
-        node = self._root
-        index = (page >> (3 * LEVEL_BITS)) & mask
-        stage4 = (node.base_paddr + index * PTE_SIZE, info4[0],
-                  info4[1], page >> (3 * LEVEL_BITS), "PL4")
-        node = node.entries.get(index)
-        if node is None:
-            return None
-
-        index = (page >> (2 * LEVEL_BITS)) & mask
-        stage3 = (node.base_paddr + index * PTE_SIZE, info3[0],
-                  info3[1], page >> (2 * LEVEL_BITS), "PL3")
-        node = node.entries.get(index)
-        if node is None:
-            return None
-
-        index = (page >> LEVEL_BITS) & mask
-        stage2 = (node.base_paddr + index * PTE_SIZE, info2[0],
-                  info2[1], page >> LEVEL_BITS, "PL2")
-        entry = node.entries.get(index)
-        if entry is None:
-            return None
-        if type(entry) is Translation:  # 2 MB leaf: 3-stage walk
-            return (stage4, stage3, stage2), None, entry
-
-        index = page & mask
-        leaf = entry.entries.get(index)
-        if leaf is None:
-            return None
-        info1 = level_info.get("PL1")
-        if info1 is None:
-            info1 = resolve("PL1")
-        return ((stage4, stage3, stage2,
-                 (entry.base_paddr + index * PTE_SIZE, info1[0],
-                  info1[1], page, "PL1")),
+        return ((step4, step3, step2,
+                 (entry.base_paddr + index * PTE_SIZE, page)),
                 None, leaf)
 
     def occupancy(self) -> Dict[str, float]:

@@ -17,6 +17,13 @@ def table(allocator):
     return FlattenedPageTable(allocator)
 
 
+def flat_walk(table, page):
+    """The sequential ``(pte_paddr, pwc_prefix)`` steps of a walk."""
+    flat, staged, _ = table.walk_info(page)
+    assert staged is None
+    return flat
+
+
 class TestMapping:
     def test_unmapped_lookup_none(self, table):
         assert table.lookup(7) is None
@@ -58,23 +65,21 @@ class TestWalkStructure:
     def test_walk_has_three_stages(self, table):
         # The headline property: 4 sequential accesses become 3.
         table.map_page(0x54321, pfn=9)
-        stages = table.walk_stages(0x54321)
-        assert [s[0].level for s in stages] == ["PL4", "PL3", "PL2/1"]
+        steps = flat_walk(table, 0x54321)
+        assert table.level_names[:len(steps)] == ("PL4", "PL3", "PL2/1")
 
     def test_walk_unmapped_rejected(self, table):
-        with pytest.raises(MappingError):
-            table.walk_stages(3)
+        assert table.walk_info(3) is None
 
     def test_flat_index_spans_18_bits(self, table):
         low = make_vpn(0, 0, 0, 0)
         high = make_vpn(0, 0, 511, 511)
         table.map_page(low, pfn=1)
         table.map_page(high, pfn=2)
-        leaf_low = table.walk_stages(low)[2][0]
-        leaf_high = table.walk_stages(high)[2][0]
+        leaf_low, _ = flat_walk(table, low)[2]
+        leaf_high, _ = flat_walk(table, high)[2]
         # Same flattened node, indices 0 and 2^18 - 1.
-        assert leaf_high.pte_paddr - leaf_low.pte_paddr \
-            == (FLAT_ENTRIES - 1) * 8
+        assert leaf_high - leaf_low == (FLAT_ENTRIES - 1) * 8
 
     def test_pages_one_gb_apart_use_different_flat_nodes(self, table):
         a = make_vpn(0, 0, 0, 0)
@@ -93,10 +98,10 @@ class TestWalkStructure:
     def test_pwc_keys(self, table):
         page = make_vpn(1, 2, 3, 4)
         table.map_page(page, pfn=1)
-        stages = table.walk_stages(page)
-        assert stages[0][0].pwc_key == ("PL4", page >> 27)
-        assert stages[1][0].pwc_key == ("PL3", page >> 18)
-        assert stages[2][0].pwc_key == ("PL2/1", page)
+        prefixes = [prefix for _, prefix in flat_walk(table, page)]
+        assert prefixes[0] == page >> 27   # PL4
+        assert prefixes[1] == page >> 18   # PL3
+        assert prefixes[2] == page         # PL2/1
 
     def test_coverage_is_one_gb(self):
         assert flattened_coverage_bytes() == 1 << 30
@@ -110,8 +115,8 @@ class TestPhysicalStructure:
 
     def test_flat_node_is_2mb_aligned(self, table):
         table.map_page(0, pfn=1)
-        leaf = table.walk_stages(0)[2][0]
-        node_base = leaf.pte_paddr - (leaf.pte_paddr % (2 * MIB))
+        leaf, _ = flat_walk(table, 0)[2]
+        node_base = leaf - (leaf % (2 * MIB))
         assert node_base % (2 * MIB) == 0
 
     def test_table_bytes_counts_flat_nodes(self, table):
@@ -167,7 +172,7 @@ class TestEquivalenceWithRadix:
         flat = FlattenedPageTable(FrameAllocator(64 * MIB))
         radix = RadixPageTable_cached(page)
         flat.map_page(page, pfn=1)
-        assert len(flat.walk_stages(page)) == len(radix) - 1
+        assert len(flat_walk(flat, page)) == len(radix) - 1
 
 
 def RadixPageTable_cached(page):
@@ -175,4 +180,4 @@ def RadixPageTable_cached(page):
     from repro.vm.radix import RadixPageTable
     table = RadixPageTable(FrameAllocator(64 * MIB))
     table.map_page(page, pfn=1)
-    return table.walk_stages(page)
+    return flat_walk(table, page)

@@ -15,6 +15,13 @@ def table(allocator):
     return UpperFlattenedPageTable(allocator)
 
 
+def flat_walk(table, page):
+    """The sequential ``(pte_paddr, pwc_prefix)`` steps of a walk."""
+    flat, staged, _ = table.walk_info(page)
+    assert staged is None
+    return flat
+
+
 class TestFunctional:
     def test_map_lookup(self, table):
         table.map_page(0x12345, pfn=9)
@@ -46,24 +53,24 @@ class TestFunctional:
 class TestStructure:
     def test_three_stage_walk(self, table):
         table.map_page(0x12345, pfn=1)
-        stages = table.walk_stages(0x12345)
-        assert [s[0].level for s in stages] == ["PL4", "PL3/2", "PL1"]
+        steps = flat_walk(table, 0x12345)
+        assert table.level_names[:len(steps)] == ("PL4", "PL3/2", "PL1")
 
     def test_merged_level_spans_18_bits(self, table):
         low = make_vpn(0, 0, 0, 7)
         high = make_vpn(0, 511, 511, 7)
         table.map_page(low, pfn=1)
         table.map_page(high, pfn=2)
-        a = table.walk_stages(low)[1][0]
-        b = table.walk_stages(high)[1][0]
-        assert b.pte_paddr - a.pte_paddr == ((1 << 18) - 1) * 8
+        a, _ = flat_walk(table, low)[1]
+        b, _ = flat_walk(table, high)[1]
+        assert b - a == ((1 << 18) - 1) * 8
 
     def test_pl1_nodes_conventional(self, table):
         table.map_page(make_vpn(0, 0, 0, 3), pfn=1)
         table.map_page(make_vpn(0, 0, 0, 4), pfn=2)
-        a = table.walk_stages(make_vpn(0, 0, 0, 3))[2][0]
-        b = table.walk_stages(make_vpn(0, 0, 0, 4))[2][0]
-        assert b.pte_paddr - a.pte_paddr == 8
+        a, _ = flat_walk(table, make_vpn(0, 0, 0, 3))[2]
+        b, _ = flat_walk(table, make_vpn(0, 0, 0, 4))[2]
+        assert b - a == 8
 
     def test_flat_node_consumes_block(self, table, allocator):
         before = allocator.free_block_count
@@ -94,8 +101,9 @@ class TestWhyBottomIsRight:
         bottom = FlattenedPageTable(FrameAllocator(64 * MIB))
         table.map_page(0x777, pfn=1)
         bottom.map_page(0x777, pfn=1)
-        upper_levels = [s[0].level for s in table.walk_stages(0x777)]
-        bottom_levels = [s[0].level for s in bottom.walk_stages(0x777)]
+        upper_levels = table.level_names[:len(flat_walk(table, 0x777))]
+        bottom_levels = bottom.level_names[
+            :len(flat_walk(bottom, 0x777))]
         # Both are 3-stage, but upper keeps two poorly-caching low
         # levels (PL3/2 node per-region entries + PL1), while bottom
         # keeps only one.

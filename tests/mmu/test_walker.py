@@ -17,7 +17,7 @@ MIB = 1024 ** 2
 
 
 def walk(walker, now, page):
-    """Walk ``page`` through the plan entry point.
+    """Walk ``page`` through the table's walk and the timing entry point.
 
     Returns ``(latency, memory_accesses, pwc_hit_level)``: the access
     count is the walk's delta of ``stats.memory_accesses`` and the hit
@@ -27,7 +27,7 @@ def walk(walker, now, page):
     caches = walker.pwcs.caches() if walker.pwcs is not None else {}
     hits_before = {level: c.stats.hits for level, c in caches.items()}
     accesses_before = walker.stats.memory_accesses
-    latency = walker.walk_from_plan(now, *walker.plan_info(page)[:2])
+    latency = walker.walk_from_plan(now, *walker.table.walk_info(page)[:2])
     hit_level = None
     for level, cache in caches.items():
         if cache.stats.hits > hits_before[level]:

@@ -103,24 +103,24 @@ class TestElasticity:
 class TestWalkStructure:
     def test_single_parallel_stage(self, table):
         table.map_page(50, pfn=1)
-        stages = table.walk_stages(50)
-        assert len(stages) == 1          # one stage...
-        assert len(stages[0]) == 2       # ...of d parallel probes
+        flat, staged, _ = table.walk_info(50)
+        assert flat is None              # one stage...
+        assert len(staged) == 2          # ...of d parallel probes
 
     def test_probes_have_no_pwc_keys(self, table):
         table.map_page(50, pfn=1)
-        assert all(step.pwc_key is None for step in table.walk_stages(50)[0])
+        staged = table.walk_info(50)[1]
+        assert all(prefix is None for _, prefix in staged)
 
     def test_probe_addresses_follow_hashes(self, table):
         table.map_page(50, pfn=1)
-        probes = table.walk_stages(50)[0]
-        assert len({p.pte_paddr for p in probes}) == 2
-        for probe in probes:
-            assert probe.pte_paddr % ECH_ENTRY_BYTES == 0
+        probes = table.walk_info(50)[1]
+        assert len({pte for pte, _ in probes}) == 2
+        for pte_paddr, _ in probes:
+            assert pte_paddr % ECH_ENTRY_BYTES == 0
 
     def test_walk_unmapped_rejected(self, table):
-        with pytest.raises(MappingError):
-            table.walk_stages(1)
+        assert table.walk_info(1) is None
 
     def test_occupancy_per_way(self, table):
         for i in range(100):
@@ -139,5 +139,4 @@ class TestDeterminism:
             t1.map_page(i, pfn=i)
             t2.map_page(i, pfn=i)
         for i in range(300):
-            assert [s.pte_paddr for s in t1.walk_stages(i)[0]] \
-                == [s.pte_paddr for s in t2.walk_stages(i)[0]]
+            assert t1.walk_info(i)[1] == t2.walk_info(i)[1]

@@ -45,11 +45,10 @@ class TestIdeal:
 
     def test_walk_is_empty(self, table):
         table.map_page(9, pfn=4)
-        assert table.walk_stages(9) == []
+        assert table.walk_info(9) == ((), None, Translation(4, PAGE_SHIFT))
 
     def test_walk_unmapped_rejected(self, table):
-        with pytest.raises(MappingError):
-            table.walk_stages(9)
+        assert table.walk_info(9) is None
 
     def test_no_physical_footprint(self, table):
         table.map_page(9, pfn=4)

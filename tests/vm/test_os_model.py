@@ -68,7 +68,7 @@ class TestFaultIn:
     @staticmethod
     def state(os):
         table = os.page_table
-        return (os.stats, table.mapped_pages, table.structure_version,
+        return (os.stats, table.mapped_pages,
                 [(r.page, r.frame, r.huge) for r in os._lru_frames],
                 os.allocator.free_frames)
 

@@ -104,54 +104,63 @@ class TestHugeMapping:
         assert table.mapped_pages == ENTRIES_PER_NODE
 
 
+def flat_walk(table, page):
+    """The sequential ``(pte_paddr, pwc_prefix)`` steps of a walk."""
+    flat, staged, _ = table.walk_info(page)
+    assert staged is None
+    return flat
+
+
 class TestWalkStages:
     def test_small_walk_has_four_stages(self, table):
         table.map_page(0x12345, pfn=1)
-        stages = table.walk_stages(0x12345)
-        assert [s[0].level for s in stages] == ["PL4", "PL3", "PL2", "PL1"]
+        steps = flat_walk(table, 0x12345)
+        assert table.level_names[:len(steps)] \
+            == ("PL4", "PL3", "PL2", "PL1")
 
     def test_each_stage_single_access(self, table):
         table.map_page(0x12345, pfn=1)
-        assert all(len(s) == 1 for s in table.walk_stages(0x12345))
+        flat, staged, _ = table.walk_info(0x12345)
+        # A flat walk: one (pte_paddr, pwc_prefix) access per level.
+        assert staged is None
+        assert all(len(step) == 2 for step in flat)
 
     def test_huge_walk_has_three_stages(self, table):
         table.map_page(0, pfn=512, page_shift=HUGE_PAGE_SHIFT)
-        stages = table.walk_stages(100)
-        assert [s[0].level for s in stages] == ["PL4", "PL3", "PL2"]
+        steps = flat_walk(table, 100)
+        assert table.level_names[:len(steps)] == ("PL4", "PL3", "PL2")
 
     def test_walk_of_unmapped_page_rejected(self, table):
-        with pytest.raises(MappingError):
-            table.walk_stages(42)
+        assert table.walk_info(42) is None
 
     def test_pte_addresses_distinct_across_levels(self, table):
         table.map_page(0x12345, pfn=1)
-        paddrs = [s[0].pte_paddr for s in table.walk_stages(0x12345)]
+        paddrs = [pte for pte, _ in flat_walk(table, 0x12345)]
         assert len(set(paddrs)) == 4
 
     def test_pte_paddr_encodes_index(self, table):
         page = make_vpn(0, 0, 0, 7)
         table.map_page(page, pfn=1)
-        stages = table.walk_stages(page)
-        pl1 = stages[3][0]
-        assert pl1.pte_paddr % 4096 == 7 * 8
+        pl1_pte, _ = flat_walk(table, page)[3]
+        assert pl1_pte % 4096 == 7 * 8
 
     def test_sibling_pages_share_upper_ptes(self, table):
         table.map_page(make_vpn(1, 2, 3, 4), pfn=1)
         table.map_page(make_vpn(1, 2, 3, 5), pfn=2)
-        walk_a = table.walk_stages(make_vpn(1, 2, 3, 4))
-        walk_b = table.walk_stages(make_vpn(1, 2, 3, 5))
+        walk_a = flat_walk(table, make_vpn(1, 2, 3, 4))
+        walk_b = flat_walk(table, make_vpn(1, 2, 3, 5))
         for level in range(3):  # PL4, PL3, PL2 shared
-            assert walk_a[level][0].pte_paddr == walk_b[level][0].pte_paddr
-        assert walk_a[3][0].pte_paddr != walk_b[3][0].pte_paddr
+            assert walk_a[level][0] == walk_b[level][0]
+        assert walk_a[3][0] != walk_b[3][0]
 
     def test_pwc_keys_identify_prefixes(self, table):
         page = make_vpn(1, 2, 3, 4)
         table.map_page(page, pfn=1)
-        stages = table.walk_stages(page)
-        assert stages[0][0].pwc_key == ("PL4", page >> 27)
-        assert stages[1][0].pwc_key == ("PL3", page >> 18)
-        assert stages[2][0].pwc_key == ("PL2", page >> 9)
-        assert stages[3][0].pwc_key == ("PL1", page)
+        prefixes = [prefix for _, prefix in flat_walk(table, page)]
+        assert prefixes[0] == page >> 27   # PL4
+        assert prefixes[1] == page >> 18   # PL3
+        assert prefixes[2] == page >> 9    # PL2
+        assert prefixes[3] == page         # PL1
 
 
 class TestStructure:
@@ -184,5 +193,5 @@ class TestStructure:
 
     def test_pte_addresses_are_in_physical_memory(self, table, allocator):
         table.map_page(0x999, pfn=1)
-        for stage in table.walk_stages(0x999):
-            assert 0 <= stage[0].pte_paddr < allocator.phys_bytes
+        for pte_paddr, _ in flat_walk(table, 0x999):
+            assert 0 <= pte_paddr < allocator.phys_bytes
