@@ -20,7 +20,7 @@ accounting.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List
 
 from repro.sim.stats import HitMissStats
 
@@ -41,38 +41,14 @@ class PageWalkCache:
         self.latency = latency
         self.num_sets = entries // associativity
         self.stats = HitMissStats()
-        self._sets: List[Dict[Hashable, None]] = [
+        # One insertion-ordered dict per set (oldest first = LRU),
+        # keyed by the integer prefix; the walker selects the set by
+        # ``key % num_sets`` (low prefix bits, like a real MMU cache,
+        # and stable across processes) and probes, refreshes and fills
+        # it inline.
+        self._sets: List[Dict[int, None]] = [
             {} for _ in range(self.num_sets)
         ]
-
-    def _set_for(self, key: Hashable) -> Dict[Hashable, None]:
-        # Walker keys are ('LEVEL', prefix) tuples; indexing by the
-        # integer prefix matches how a real MMU cache selects its set
-        # (low prefix bits) and — unlike hash() of a tuple containing a
-        # str — is stable across processes, which keeps whole-run
-        # statistics reproducible (str hashing is randomized per
-        # process).  Non-tuple keys fall back to hash() for API
-        # compatibility.
-        if type(key) is tuple and type(key[-1]) is int:
-            return self._sets[key[-1] % self.num_sets]
-        return self._sets[hash(key) % self.num_sets]
-
-    def lookup(self, key: Hashable) -> bool:
-        pwc_set = self._set_for(key)
-        if key in pwc_set:
-            self.stats.hits += 1
-            pwc_set[key] = pwc_set.pop(key)  # LRU refresh
-            return True
-        self.stats.misses += 1
-        return False
-
-    def insert(self, key: Hashable) -> None:
-        pwc_set = self._set_for(key)
-        if key in pwc_set:
-            return
-        if len(pwc_set) >= self.associativity:
-            del pwc_set[next(iter(pwc_set))]
-        pwc_set[key] = None
 
     def flush(self) -> None:
         for pwc_set in self._sets:
@@ -91,31 +67,9 @@ class PwcSet:
             for level in levels
         }
 
-    def __contains__(self, level: str) -> bool:
-        return level in self._caches
-
-    def cache_for(self, level: str) -> Optional[PageWalkCache]:
-        return self._caches.get(level)
-
     def caches(self) -> Dict[str, PageWalkCache]:
         """All level caches, keyed by level name."""
         return dict(self._caches)
-
-    def hit_rates(self) -> Dict[str, float]:
-        return {
-            level: cache.stats.hit_rate
-            for level, cache in self._caches.items()
-        }
-
-    def merged_hit_rate(self, levels) -> float:
-        hits = misses = 0
-        for level in levels:
-            cache = self._caches.get(level)
-            if cache is not None:
-                hits += cache.stats.hits
-                misses += cache.stats.misses
-        total = hits + misses
-        return hits / total if total else 0.0
 
     def flush(self) -> None:
         """Clear every level in place (ASID recycle / full shootdown)."""

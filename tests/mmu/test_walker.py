@@ -115,7 +115,7 @@ class TestPwcSkipping:
         walker = PageTableWalker(table, hierarchy, core_id=0, pwcs=pwcs)
         walk(walker, 0.0, 0x12345)
         walk(walker, 10_000.0, 0x12345)
-        assert pwcs.hit_rates()["PL1"] == 0.5
+        assert pwcs.caches()["PL1"].stats.hit_rate == 0.5
 
 
 class TestBypass:

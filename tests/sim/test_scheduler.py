@@ -15,7 +15,9 @@ from repro.mmu.tlb import build_table1_tlbs
 from repro.service import SweepService
 from repro.sim.config import SchedulerParams, ndp_config
 from repro.sim.runner import run_once
+from repro.sim.engine import SimulationEngine
 from repro.sim.scheduler import TenantCoordinator, tenant_seed
+from repro.sim.system import System
 from repro.vm.address import asid_tag
 from repro.vm.base import Translation
 from repro.vm.frames import FrameAllocator, OutOfMemoryError
@@ -317,6 +319,29 @@ class TestTenantStreams:
     def test_single_tenant_config_bypasses_scheduler(self):
         result = run_once(mt_config(tenants=1))
         assert result.extras == {}
+
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    @pytest.mark.parametrize("params", [
+        dict(quantum_refs=300), dict(tenant_weights=(2.0,)),
+        dict(shootdown_batch=4), dict(max_asids=1),
+        dict(flush_on_switch=True)], ids=lambda p: next(iter(p)))
+    def test_one_tenant_ignores_scheduler_params(self, params,
+                                                 num_cores):
+        """One process has nothing to schedule: quanta, weights, ASID
+        recycling, shootdown batching and switch flushes leave the run
+        untouched, and the machine runs the plain engine.  The config
+        reclaims under memory pressure, so a shootdown hook wired in
+        by mistake would show in the fault cycles."""
+        base = mt_config(tenants=1, num_cores=num_cores,
+                         workload="rnd", phys_bytes=10 * MIB)
+        tuned = dataclasses.replace(
+            base, scheduler=SchedulerParams(**params))
+        system = System(tuned)
+        assert len(system.tenants) == 1
+        assert type(system.engine) is SimulationEngine
+        expected = run_once(base)
+        assert expected.os_stats["reclaims"] > 0
+        assert result_fields(run_once(tuned)) == result_fields(expected)
 
     def test_tenant_workloads_honored_at_one_tenant(self):
         """A 1-tenant cell with tenant_workloads must run the tenant

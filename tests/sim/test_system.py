@@ -41,7 +41,7 @@ class TestShapes:
 
     def test_ndpage_pwc_levels(self):
         system = System(ndp_config(mechanism="ndpage", **FAST))
-        assert "PL2/1" in system.pwc_sets[0]
+        assert "PL2/1" in system.pwc_sets[0].caches()
 
 
 class TestPrefault:
